@@ -168,20 +168,30 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def cmd_allocate(args) -> int:
-    instance = _load_instance(args.instance)
-    matching = _load_matching(args.matching)
-    targets = None
-    if args.targets:
-        raw = _load_json(args.targets)
+def _load_targets(path: str, instance: Instance, strict: bool) -> egalitarian.TargetProfile:
+    raw = _load_json(path)
+    try:
         targets = egalitarian.TargetProfile({
             (entry["supervisor"], entry["project"]): parse_rational(entry["target"])
             for entry in raw
         })
+        targets.validate(instance, strict=strict)
+    except (KeyError, TypeError):
+        raise InputError(f"{path}: expected a list of {{supervisor, project, target}} records")
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"{path}: {exc}")
+    return targets
+
+
+def cmd_allocate(args) -> int:
+    instance = _load_instance(args.instance)
+    matching = _load_matching(args.matching)
+    strict = args.mode == "strict"
+    targets = _load_targets(args.targets, instance, strict) if args.targets else None
     start = time.perf_counter()
     try:
         result = egalitarian.egalitarian_allocation(
-            instance, matching, targets, strict=(args.mode == "strict")
+            instance, matching, targets, strict=strict
         )
     except ValueError as exc:
         sys.stderr.write(f"{exc}\n")

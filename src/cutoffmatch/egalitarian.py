@@ -1,16 +1,20 @@
 """Leximin-egalitarian funding allocation relative to normative targets.
 
 Given a feasible matching, repeatedly minimize the largest ratio of
-funded amount to target over the pairs not yet pinned, then pin exactly
-the pairs that cannot go below the optimum (detected by an auxiliary LP
-whose optimum is exactly zero).  The resulting sorted ratio vector is the
-lexicographic minimum over all feasible funding allocations.
+funded amount to target over the pairs not yet pinned, then pin the pairs
+whose ratio rows carry a nonzero LP dual price: by complementary
+slackness they sit at the optimum in every minimax solution (Nace &
+Pioro 2008).  Each solve pins at least one pair, so at most |T| LPs are
+solved for |T| target pairs.  The resulting sorted ratio vector is the
+lexicographic minimum over all feasible funding allocations, and that
+allocation is unique; `verify_leximin` checks a candidate level by level
+without re-running the loop.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -36,6 +40,8 @@ class TargetProfile:
         for (s, p), t in self.targets.items():
             if t <= 0:
                 raise ValueError(f"target for ({s}, {p}) must be positive, got {t}")
+            if s not in instance.supervised:
+                raise ValueError(f"unknown supervisor {s!r}")
             if p not in instance.supervised[s]:
                 raise ValueError(f"({s}, {p}): supervisor does not supervise project")
         if strict:
@@ -43,6 +49,8 @@ class TargetProfile:
                 ss = instance.supervisors_of(p)
                 if not ss:
                     continue
+                if any((s, p) not in self.targets for s in ss):
+                    raise ValueError(f"project {p}: strict mode needs a target per supervisor")
                 total = sum((self.targets[(s, p)] for s in ss), Fraction(0))
                 if total != 1:
                     raise ValueError(
@@ -54,7 +62,7 @@ class TargetProfile:
 class AllocationResult:
     allocation: dict[Pair, Fraction]
     ratios: list[Fraction]                  # weakly decreasing
-    fixed_round: dict[Pair, int]            # while-iteration that pinned each pair
+    fixed_round: dict[Pair, int]            # round (value of lam*) that pinned each pair
     fixed_value: dict[Pair, Fraction]       # the pinned ratio
     lp_solves: int
     rounds: int
@@ -129,15 +137,33 @@ def _feasibility_lp(
     return lp, names
 
 
+def _minimax_lp(
+    instance: Instance, counts: Mapping[str, int], targets: TargetProfile,
+    pinned: Mapping[Pair, Fraction],
+) -> tuple[LinearProgram, dict[Pair, str], str, dict[Pair, int]]:
+    """min lam over feasible funding with ratio x/t pinned for the pairs in
+    `pinned` and x/t <= lam for the rest.  Returns the program, the pair
+    variables, lam, and each free pair's ratio row index."""
+    pairs = sorted(targets.targets)
+    lp, names = _feasibility_lp(instance, counts, pairs)
+    lam = lp.add_variable("lam", Fraction(0), objective=1)
+    ratio_rows: dict[Pair, int] = {}
+    for sp in pairs:
+        inverse = 1 / targets.targets[sp]
+        if sp in pinned:
+            lp.add_constraint({names[sp]: inverse}, "=", pinned[sp])
+        else:
+            ratio_rows[sp] = len(lp.constraints)
+            lp.add_constraint({names[sp]: inverse, lam: -1}, "<=", 0)
+    return lp, names, lam, ratio_rows
+
+
 def egalitarian_allocation(
     instance: Instance, matching: Matching, targets: TargetProfile | None = None,
     strict: bool = True,
 ) -> AllocationResult:
-    """Run the iterated minimax allocation for a feasible matching.
-
-    Each while-iteration pins at least one pair, so there are at most |T|
-    iterations and at most |T|^2 + |T| LP solves in total.
-    """
+    """Run the iterated minimax allocation for a feasible matching: each LP
+    solve pins at least one pair, so at most |T| solves; a round is one lam*."""
     if not matching_feasible(instance, matching):
         raise ValueError("matching is not feasible; no funding allocation exists")
     if targets is None:
@@ -146,64 +172,35 @@ def egalitarian_allocation(
 
     counts = matching.counts(instance)
     pairs = sorted(targets.targets)
-    lp_solves = 0
+    lp_solves = rounds = 0
     fixed_value: dict[Pair, Fraction] = {}
     fixed_round: dict[Pair, int] = {}
-    rounds = 0
-    allocation: dict[Pair, Fraction] = {sp: Fraction(0) for sp in pairs}
+    last_lam: Fraction | None = None
+    allocation: dict[Pair, Fraction] = {}
 
     while len(fixed_value) < len(pairs):
-        rounds += 1
-        free = [sp for sp in pairs if sp not in fixed_value]
-
-        lp, names = _feasibility_lp(instance, counts, pairs)
-        lam = lp.add_variable("lam", Fraction(0), objective=1)
-        for sp in free:
-            t = targets.targets[sp]
-            lp.add_constraint({names[sp]: Fraction(1, 1) / t, lam: -1}, "<=", 0)
-        for sp, val in fixed_value.items():
-            t = targets.targets[sp]
-            lp.add_constraint({names[sp]: Fraction(1, 1) / t}, "=", val)
+        lp, names, lam, ratio_rows = _minimax_lp(instance, counts, targets, fixed_value)
         sol = solve_lp(lp)
         lp_solves += 1
         if sol.status != OPTIMAL:
             raise RuntimeError(f"minimax LP unexpectedly {sol.status}")
         lam_star = sol[lam]
-
-        newly_tight = []
-        for target_pair in free:
-            lp2, names2 = _feasibility_lp(instance, counts, pairs)
-            eps = lp2.add_variable("eps", Fraction(0), objective=1)
-            lp2.maximize = True
-            for sp in free:
-                t = targets.targets[sp]
-                if sp == target_pair:
-                    lp2.add_constraint({names2[sp]: Fraction(1, 1) / t, eps: 1}, "<=", lam_star)
-                else:
-                    lp2.add_constraint({names2[sp]: Fraction(1, 1) / t}, "<=", lam_star)
-            for sp, val in fixed_value.items():
-                t = targets.targets[sp]
-                lp2.add_constraint({names2[sp]: Fraction(1, 1) / t}, "=", val)
-            sol2 = solve_lp(lp2)
-            lp_solves += 1
-            if sol2.status != OPTIMAL:
-                raise RuntimeError(f"auxiliary LP unexpectedly {sol2.status}")
-            if sol2.objective == 0:
-                newly_tight.append(target_pair)
-        if not newly_tight:
+        if lam_star != last_lam:
+            rounds, last_lam = rounds + 1, lam_star
+        # a nonzero dual marks a row tight in every optimum; when lam* > 0
+        # the ratio rows' duals sum to -1, so at least one pair is pinned
+        tight = [sp for sp, i in ratio_rows.items() if lam_star == 0 or sol.duals[i]]
+        if not tight:
             raise RuntimeError("no pair became tight; minimax reasoning violated")
-        for sp in newly_tight:
-            fixed_value[sp] = lam_star
-            fixed_round[sp] = rounds
-        for sp in pairs:
-            allocation[sp] = sol[names[sp]]
+        fixed_value.update(dict.fromkeys(tight, lam_star))
+        fixed_round.update(dict.fromkeys(tight, rounds))
+        # pairs pinned by the final solve are tight in it, so its solution
+        # already sits at every pinned ratio
+        allocation = {sp: sol[names[sp]] for sp in pairs}
 
-    # a pair pinned in the final round already sits exactly at its pinned
-    # ratio in that round's minimax solution (its auxiliary slack was zero)
-    ratios = sorted(
-        (allocation[sp] / targets.targets[sp] for sp in pairs), reverse=True
-    )
-    assert verify_allocation(instance, counts, allocation)
+    ratios = sorted((allocation[sp] / targets.targets[sp] for sp in pairs), reverse=True)
+    if not verify_allocation(instance, counts, allocation):
+        raise RuntimeError("leximin allocation violates the funding constraints")
     return AllocationResult(allocation, ratios, fixed_round, fixed_value, lp_solves, rounds)
 
 
@@ -211,64 +208,28 @@ def verify_leximin(
     instance: Instance, matching: Matching, targets: TargetProfile,
     allocation: Mapping[Pair, Fraction],
 ) -> bool:
-    """Independent check that an allocation's sorted ratio vector is the
-    lexicographic minimum.
+    """Check that an allocation is the (unique) leximin optimum.
 
-    Re-derives the optimal vector prefix by prefix (minimax re-solve with
-    previously pinned values) and compares multisets at every stage.
+    Walks the allocation's own ratio levels v from the top, with the pairs
+    above v pinned at their ratios and every other ratio capped at v.  The
+    pairs at v must have no slack in that set: their ratios cannot sum to
+    less than v each.  This also proves v is the minimax value there, as a
+    smaller one would leave every pair at v some slack.
     """
     counts = matching.counts(instance)
-    if not verify_allocation(instance, counts, allocation):
-        return False
     pairs = sorted(targets.targets)
-    if set(allocation) != set(pairs):
+    if set(allocation) != set(pairs) or not verify_allocation(instance, counts, allocation):
         return False
-    candidate = sorted(
-        (allocation[sp] / targets.targets[sp] for sp in pairs), reverse=True
-    )
+    ratio = {sp: allocation[sp] / targets.targets[sp] for sp in pairs}
 
-    fixed_value: dict[Pair, Fraction] = {}
-    remaining = list(candidate)
-    while len(fixed_value) < len(pairs):
-        free = [sp for sp in pairs if sp not in fixed_value]
-        lp, names = _feasibility_lp(instance, counts, pairs)
-        lam = lp.add_variable("lam", Fraction(0), objective=1)
-        for sp in free:
-            t = targets.targets[sp]
-            lp.add_constraint({names[sp]: Fraction(1, 1) / t, lam: -1}, "<=", 0)
-        for sp, val in fixed_value.items():
-            t = targets.targets[sp]
-            lp.add_constraint({names[sp]: Fraction(1, 1) / t}, "=", val)
+    pinned: dict[Pair, Fraction] = {}
+    for v in sorted(set(ratio.values()), reverse=True):
+        level = [sp for sp in pairs if ratio[sp] == v]
+        lp, names, lam, _ = _minimax_lp(instance, counts, targets, pinned)
+        lp.lower[lam] = lp.upper[lam] = v
+        lp.objective = {names[sp]: 1 / targets.targets[sp] for sp in level}
         sol = solve_lp(lp)
-        if sol.status != OPTIMAL:
+        if sol.status != OPTIMAL or sol.objective != v * len(level):
             return False
-        lam_star = sol[lam]
-        if not remaining or remaining[0] != lam_star:
-            return False
-        tight = []
-        for target_pair in free:
-            lp2, names2 = _feasibility_lp(instance, counts, pairs)
-            eps = lp2.add_variable("eps", Fraction(0), objective=1)
-            lp2.maximize = True
-            for sp in free:
-                t = targets.targets[sp]
-                if sp == target_pair:
-                    lp2.add_constraint({names2[sp]: Fraction(1, 1) / t, eps: 1}, "<=", lam_star)
-                else:
-                    lp2.add_constraint({names2[sp]: Fraction(1, 1) / t}, "<=", lam_star)
-            for sp, val in fixed_value.items():
-                t = targets.targets[sp]
-                lp2.add_constraint({names2[sp]: Fraction(1, 1) / t}, "=", val)
-            sol2 = solve_lp(lp2)
-            if sol2.status != OPTIMAL:
-                return False
-            if sol2.objective == 0:
-                tight.append(target_pair)
-        if not tight:
-            return False
-        for sp in tight:
-            fixed_value[sp] = lam_star
-            if not remaining or remaining[0] != lam_star:
-                return False
-            remaining.pop(0)
-    return not remaining
+        pinned.update((sp, v) for sp in level)
+    return True

@@ -139,9 +139,8 @@ def solve(
                 )
                 if debug_reinduce:
                     reinduced = induce(instance, CutoffVector(dict(cutoffs)))
-                    assert reinduced.pairs == frozenset(matched.items()), (
-                        "incremental update diverged from re-induction"
-                    )
+                    if reinduced.pairs != frozenset(matched.items()):
+                        raise RuntimeError("incremental update diverged from re-induction")
                 progressed = True
                 break  # restart the scan from the front
 

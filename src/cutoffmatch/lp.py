@@ -57,9 +57,20 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
+    """Result of `solve_lp`.
+
+    When optimal, ``duals[i]`` is the exact dual price of
+    ``program.constraints[i]``: the rate at which the optimal objective
+    changes per unit increase of that constraint's rhs.  So a "<=" row has
+    a dual >= 0 in a maximization and <= 0 in a minimization, a ">=" row
+    the opposite sign, and an "=" row either sign.  A nonzero dual implies
+    the row is tight in every optimal solution (complementary slackness).
+    """
+
     status: str
     assignment: dict[str, Fraction] = field(default_factory=dict)
     objective: Fraction | None = None
+    duals: list[Fraction] = field(default_factory=list)
 
     def __getitem__(self, var: str) -> Fraction:
         return self.assignment[var]
@@ -78,7 +89,7 @@ def solve_lp(program: LinearProgram) -> LpSolution:
             ok = {"<=": lhs <= rhs, "=": lhs == rhs, ">=": lhs >= rhs}[sense]
             if not ok:
                 return LpSolution(INFEASIBLE)
-        return LpSolution(OPTIMAL, {}, Fraction(0))
+        return LpSolution(OPTIMAL, {}, Fraction(0), [Fraction(0)] * len(program.constraints))
 
     # -- rewrite to: min c.y  s.t.  A y = b, y >= 0 ----------------------
     # each original variable becomes y (shifted by lower bound) or a pair
@@ -134,6 +145,9 @@ def solve_lp(program: LinearProgram) -> LpSolution:
     art_start = ncols + slack_count
     slack_i = 0
     art_cols: list[int] = []
+    # per row: the column holding its starting unit entry (so, after any
+    # pivots, the matching column of B^-1) and whether the row was negated
+    unit_of: list[tuple[int, bool]] = []
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -151,7 +165,8 @@ def solve_lp(program: LinearProgram) -> LpSolution:
             slack_i += 1
         else:
             slack_col = None
-        if rhs < 0:
+        negated = rhs < 0
+        if negated:
             row = [-x for x in row]
             rhs = -rhs
             if sense == "<=":
@@ -164,6 +179,7 @@ def solve_lp(program: LinearProgram) -> LpSolution:
             row[art] = one
             art_cols.append(art)
             basis.append(art)
+        unit_of.append((basis[-1], negated))
         tableau.append(row)
 
     rhs_col = total
@@ -263,7 +279,18 @@ def solve_lp(program: LinearProgram) -> LpSolution:
         (program.objective.get(v, zero) * assignment[v] for v in program.variables),
         zero,
     )
-    return LpSolution(OPTIMAL, assignment, obj)
+    # y = c_B . B^-1, then undo the row negation and the min/max sign
+    units = unit_of[:len(program.constraints)]
+    duals = [zero] * len(units)
+    for r, b in enumerate(basis):
+        cb = costs2[b]
+        if cb:
+            row = tableau[r]
+            for i, (col, _) in enumerate(units):
+                if row[col]:
+                    duals[i] += cb * row[col]
+    duals = [-y * sign if negated else y * sign for y, (_, negated) in zip(duals, units)]
+    return LpSolution(OPTIMAL, assignment, obj, duals)
 
 
 def check_solution(program: LinearProgram, solution: LpSolution) -> bool:

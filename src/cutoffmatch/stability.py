@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from cutoffmatch.flow import SipFeasibility
 from cutoffmatch.model import Instance
@@ -29,10 +29,6 @@ class Matching:
     """A set of (applicant, project) pairs."""
 
     pairs: frozenset[tuple[str, str]]
-
-    @classmethod
-    def of(cls, pairs: Iterable[tuple[str, str]]) -> "Matching":
-        return cls(frozenset(pairs))
 
     def project_of(self, applicant: str) -> str | None:
         for a, p in self.pairs:
@@ -86,9 +82,6 @@ class CutoffVector:
         d = dict(self.cutoffs)
         d[project] -= 1
         return CutoffVector(d)
-
-    def in_range(self, instance: Instance) -> bool:
-        return all(0 <= self.cutoffs[p] <= instance.max_cutoff() for p in instance.projects)
 
 
 @dataclass

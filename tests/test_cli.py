@@ -109,7 +109,7 @@ def test_allocate_fixture(tmp_path, capsys):
     assert code == EXIT_OK
     assert report["ratios"] == ["3/2", "1/2"]
     assert report["pairs"][0]["x"] == "1/4"
-    assert report["lp_solves"] == 5
+    assert report["lp_solves"] == 2
 
     custom = write_json(tmp_path, "t.json", [
         {"supervisor": "s1", "project": "p", "target": "1/4"},
@@ -125,6 +125,45 @@ def test_allocate_infeasible_matching(tmp_path, capsys):
     main(["gadget", "example1", "--out", str(inst)])
     m = write_json(tmp_path, "m.json", [["a2", "p1"]])
     assert main(["allocate", str(inst), str(m)]) == EXIT_NEGATIVE
+
+
+EX1_TARGETS = [
+    {"supervisor": "s1", "project": "p1", "target": "1"},
+    {"supervisor": "s1", "project": "p2", "target": "1/2"},
+    {"supervisor": "s2", "project": "p2", "target": "1/2"},
+]
+
+
+@pytest.mark.parametrize("records, message", [
+    ([{"supervisor": "zz", "project": "p1", "target": "1"}],
+     "unknown supervisor 'zz'"),
+    (EX1_TARGETS[1:],
+     "project p1: strict mode needs a target per supervisor"),
+    ([{"supervisor": "s1", "target": "1"}],
+     "expected a list of {supervisor, project, target} records"),
+    ([{**EX1_TARGETS[0], "target": "0"}] + EX1_TARGETS[1:],
+     "target for (s1, p1) must be positive, got 0"),
+])
+def test_allocate_rejects_bad_targets(tmp_path, capsys, records, message):
+    inst = tmp_path / "ex1.json"
+    main(["gadget", "example1", "--out", str(inst)])
+    m = write_json(tmp_path, "m.json", [["a1", "p2"]])
+    t = write_json(tmp_path, "t.json", records)
+    capsys.readouterr()
+    assert main(["allocate", str(inst), str(m), "--targets", str(t)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {t}: {message}\n"
+
+
+def test_allocate_infeasible_matching_with_targets(tmp_path, capsys):
+    inst = tmp_path / "ex1.json"
+    main(["gadget", "example1", "--out", str(inst)])
+    t = write_json(tmp_path, "t.json", EX1_TARGETS)
+    ok = write_json(tmp_path, "ok.json", [["a1", "p2"]])
+    bad = write_json(tmp_path, "bad.json", [["a2", "p1"]])
+    assert main(["allocate", str(inst), str(ok), "--targets", str(t)]) == EXIT_OK
+    assert main(["allocate", str(inst), str(bad), "--targets", str(t)]) == EXIT_NEGATIVE
 
 
 def test_generate_deterministic(tmp_path):

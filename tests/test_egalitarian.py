@@ -1,23 +1,27 @@
 """Egalitarian funding split: iterated minimax rounds, the leximin
 verifier, target profiles, and accounting bounds."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import M
+from conftest import M, random_instance, random_matching
 
 from cutoffmatch.egalitarian import (
     AllocationResult,
     TargetProfile,
+    _feasibility_lp,
     default_targets,
     egalitarian_allocation,
     matched_count_targets,
     verify_leximin,
 )
 from cutoffmatch.flow import verify_allocation
+from cutoffmatch.lp import OPTIMAL, solve_lp
 from cutoffmatch.model import GADGET_NAMES, gadget, make_instance
 from cutoffmatch.oracle import enumerate_matchings
+from cutoffmatch.stability import matching_feasible
 
 
 def _fixture():
@@ -38,7 +42,7 @@ def test_fixture_allocation_exact():
     assert res.allocation == {("s1", "p"): Fraction(1, 4), ("s2", "p"): Fraction(3, 4)}
     assert res.ratios == [Fraction(3, 2), Fraction(1, 2)]
     assert res.rounds == 2
-    assert res.lp_solves == 5
+    assert res.lp_solves == 2
     assert res.fixed_value[("s2", "p")] == Fraction(3, 2)
     assert res.fixed_value[("s1", "p")] == Fraction(1, 2)
     assert res.fixed_round[("s2", "p")] == 1
@@ -140,9 +144,62 @@ def test_gadget_allocations_verified_and_within_bounds():
             n_pairs = len(targets.targets)
             assert res.rounds <= n_pairs
             assert res.lp_solves <= n_pairs * n_pairs + n_pairs
+            assert res.rounds <= res.lp_solves <= n_pairs
             assert verify_allocation(inst, m.counts(inst), res.allocation)
             assert verify_leximin(inst, m, targets, res.allocation)
             assert res.ratios == sorted(res.ratios, reverse=True)
+
+
+def _polytope_candidates(inst, m, targets, optimum, rng, objectives=3):
+    """Vertices of the funding polytope under random objectives, plus the
+    midpoint of each vertex with the optimum.  Besides the whole polytope,
+    each face that holds the optimum's ratios above one of its levels v and
+    caps the other ratios at v is sampled, so some candidates agree with
+    the optimum down to v and differ only below it."""
+    pairs = sorted(targets.targets)
+    ratio = {sp: optimum[sp] / targets.targets[sp] for sp in pairs}
+    for cap in [None, *sorted(set(ratio.values()), reverse=True)]:
+        for _ in range(objectives):
+            lp, names = _feasibility_lp(inst, m.counts(inst), pairs)
+            if cap is not None:
+                for sp in pairs:
+                    row = {names[sp]: 1 / targets.targets[sp]}
+                    if ratio[sp] > cap:
+                        lp.add_constraint(row, "=", ratio[sp])
+                    else:
+                        lp.add_constraint(row, "<=", cap)
+            lp.objective = {names[sp]: Fraction(rng.randint(-3, 3)) for sp in pairs}
+            sol = solve_lp(lp)
+            assert sol.status == OPTIMAL
+            vertex = {sp: sol[names[sp]] for sp in pairs}
+            yield vertex
+            yield {sp: (vertex[sp] + optimum[sp]) / 2 for sp in pairs}
+
+
+def test_verify_leximin_accepts_exactly_the_allocation():
+    """The leximin optimum is unique, so the verifier accepts a feasible
+    allocation exactly when it equals the one the loop computes."""
+    rng = random.Random(2024)
+    cases = [(gadget(name), m) for name in GADGET_NAMES
+             for m in enumerate_matchings(gadget(name))]
+    for seed in range(100):
+        inst = random_instance(seed, max_applicants=6, max_projects=4,
+                               max_supervisors=3)
+        m = random_matching(inst, random.Random(seed + 500))
+        if matching_feasible(inst, m):
+            cases.append((inst, m))
+    checked = rejected = 0
+    for inst, m in cases:
+        targets = default_targets(inst, m)
+        optimum = egalitarian_allocation(inst, m, targets).allocation
+        candidates = {tuple(z.values()): z
+                      for z in _polytope_candidates(inst, m, targets, optimum, rng)}
+        for z in candidates.values():
+            verdict = verify_leximin(inst, m, targets, z)
+            assert verdict == (z == optimum), (sorted(inst.projects), z)
+            checked += 1
+            rejected += not verdict
+    assert checked > 200 and rejected > 100  # the sweep exercises both verdicts
 
 
 def test_result_json_shape():

@@ -21,6 +21,33 @@ from cutoffmatch.lp import (
 )
 
 
+def assert_dual_certificate(lp, sol):
+    """Every nonzero dual sits on a tight constraint with the documented
+    sign, and the Lagrangian bound y.b + sum of reduced cost times the
+    matching variable bound equals the optimum."""
+    x = sol.assignment
+    assert len(sol.duals) == len(lp.constraints)
+    bound = Fraction(0)
+    reduced = {v: lp.objective.get(v, Fraction(0)) for v in lp.variables}
+    for y, (coeffs, sense, rhs) in zip(sol.duals, lp.constraints):
+        if y:
+            assert sum(c * x[v] for v, c in coeffs.items()) == rhs
+            if sense != "=":
+                # positive exactly for "<=" in a max and ">=" in a min: raising
+                # either rhs can only raise the optimum
+                assert (y > 0) == ((sense == "<=") == lp.maximize)
+        bound += y * rhs
+        for v, c in coeffs.items():
+            reduced[v] -= y * c
+    for v, d in reduced.items():
+        if d:
+            at_lower = (d > 0) != lp.maximize
+            b = lp.lower[v] if at_lower else lp.upper[v]
+            assert b is not None
+            bound += d * b
+    assert bound == sol.objective
+
+
 def test_simple_maximization():
     lp = LinearProgram(maximize=True)
     lp.add_variable("x", objective=3)
@@ -55,6 +82,8 @@ def test_minimization_with_equalities():
     assert sol.status == OPTIMAL
     assert sol.assignment == {"x": Fraction(1), "y": Fraction(2)}
     assert sol.objective == 4
+    assert sol.duals == [Fraction(1), Fraction(1)]
+    assert_dual_certificate(lp, sol)
 
 
 def test_infeasible():
@@ -78,6 +107,8 @@ def test_free_variable():
     lp.add_constraint({"x": 1}, ">=", -5)
     sol = solve_lp(lp)
     assert sol.assignment["x"] == Fraction(-5)
+    assert sol.duals == [Fraction(1)]
+    assert_dual_certificate(lp, sol)
 
 
 def test_shifted_lower_and_upper_bounds():
@@ -88,6 +119,7 @@ def test_shifted_lower_and_upper_bounds():
     sol = solve_lp(lp)
     assert sol.assignment == {"x": Fraction(6), "y": Fraction(-1)}
     assert sol.objective == 7
+    assert_dual_certificate(lp, sol)
 
 
 def test_degenerate_program_terminates():
@@ -191,6 +223,7 @@ def test_random_2var_programs_match_vertex_enumeration():
         assert sol.status == OPTIMAL  # boxed variables: never unbounded
         assert sol.objective == expected
         assert check_solution(lp, sol)
+        assert_dual_certificate(lp, sol)
         solved += 1
     assert solved > 40  # the sweep actually exercises the optimal path
 
