@@ -90,7 +90,7 @@ def solve(
     counts = {p: 0 for p in instance.projects}
     # applicant scoring d-1 at p, for O(1) decrement probes
     by_score: dict[str, dict[int, str]] = {
-        p: {z: a for a, z in instance._scores[p].items()} for p in instance.projects
+        p: {z: a for a, z in instance.scores_at(p).items()} for p in instance.projects
     }
     trace = EngineTrace()
 

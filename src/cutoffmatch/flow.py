@@ -3,16 +3,18 @@
 A matching is feasible when supervisors can jointly route one unit of
 funding per matched applicant to each project: source -> supervisor arcs
 carry budgets, supervisor -> project arcs are uncapped, project -> sink
-arcs carry the matched counts.  All arithmetic is on Fractions; feasibility
-verdicts are exact.
+arcs carry the matched counts.  Every capacity is scaled by L, the lcm of
+the budget denominators, so the max-flow kernel runs on Python ints; the
+public functions divide by L on the way out and return Fractions.
+Feasibility verdicts are exact.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from math import lcm
 
 from cutoffmatch.model import Instance
 
@@ -20,109 +22,164 @@ SOURCE = "__source__"
 SINK = "__sink__"
 
 
-@dataclass
-class FundingFlowGraph:
-    """Directed graph with rational arc capacities.
+class FundingNetwork:
+    """The fixed funding network of an instance, on index arrays.
 
-    Nodes: source, one per supervisor, one per project, sink.  The
-    "infinite" supervisor->project capacity is represented by the sum of
-    all budgets, a safe finite bound.
+    Node 0 is the source, then come the supervisors, then the projects,
+    and the last node is the sink.  Arcs are numbered in the order
+    source -> s, s -> p for each supervisor s, then p -> sink for every
+    project.  Capacities are ints in units of 1/``scale``; the "uncapped"
+    supervisor -> project arcs carry the total budget, a safe finite bound.
+    Each node lists its residual neighbours sorted by name, so the
+    shortest augmenting paths are the ones a name-keyed graph would find.
     """
 
-    nodes: list[str]
-    capacity: dict[tuple[str, str], Fraction]
-    adjacency: dict[str, list[str]] = field(default_factory=dict)
+    def __init__(self, instance: Instance):
+        self.scale = lcm(*(q.denominator for q in instance.budgets.values()))
+        names = [SOURCE, *instance.supervisors, *instance.projects, SINK]
+        first_project = len(instance.supervisors) + 1
+        project = {p: i for i, p in enumerate(instance.projects, start=first_project)}
+        total = int(sum(instance.budgets.values(), Fraction(0)) * self.scale)
+        arcs: list[tuple[int, int]] = []
+        capacity: list[int] = []
+        for i, s in enumerate(instance.supervisors, start=1):
+            arcs.append((0, i))
+            capacity.append(int(instance.budgets[s] * self.scale))
+            for p in instance.supervised[s]:
+                arcs.append((i, project[p]))
+                capacity.append(total)
+        self.first_sink_arc = len(arcs)
+        sink = len(names) - 1
+        arcs.extend((project[p], sink) for p in instance.projects)
+        capacity.extend(0 for _ in instance.projects)
 
-    def __post_init__(self):
-        if not self.adjacency:
-            adj: dict[str, set[str]] = {v: set() for v in self.nodes}
-            for (u, v) in self.capacity:
-                adj[u].add(v)
-                adj[v].add(u)  # residual arcs
-            self.adjacency = {v: sorted(ws) for v, ws in adj.items()}
+        self.names = names
+        self.arcs = arcs
+        self.base_capacity = capacity  # project -> sink arcs at 0
+        self.arc_index = {(names[u], names[v]): a for a, (u, v) in enumerate(arcs)}
+        # residual edge 2a runs along arc a, edge 2a+1 against it
+        self.tail = [end for arc in arcs for end in arc]
+        neighbours: list[list[tuple[str, int, int]]] = [[] for _ in names]
+        for a, (u, v) in enumerate(arcs):
+            neighbours[u].append((names[v], v, 2 * a))
+            neighbours[v].append((names[u], u, 2 * a + 1))
+        # (neighbour, residual edge) pairs, by neighbour name
+        self.adjacency = [
+            tuple((v, e) for _, v, e in sorted(ns, key=lambda n: n[0])) for ns in neighbours
+        ]
+
+    def with_counts(self, counts: tuple[int, ...]) -> list[int]:
+        """Arc capacities for per-project matched counts, in project order."""
+        capacity = self.base_capacity[:]
+        capacity[self.first_sink_arc:] = [c * self.scale for c in counts]
+        return capacity
+
+    def max_flow(self, capacity: list[int]) -> tuple[int, list[int]]:
+        """Edmonds-Karp: augment along shortest residual paths until none
+        is left.  Returns the flow value and the per-arc flows."""
+        adjacency, tail = self.adjacency, self.tail
+        sink = len(adjacency) - 1
+        residual = [0] * (2 * len(capacity))
+        residual[::2] = capacity
+        value = 0
+        while True:
+            via: list[int | None] = [None] * len(adjacency)  # edge reaching each node
+            via[0] = -1
+            queue = [0]
+            for u in queue:
+                for v, e in adjacency[u]:
+                    if via[v] is None and residual[e] > 0:
+                        via[v] = e
+                        queue.append(v)
+                if via[sink] is not None:
+                    break
+            else:
+                return value, residual[1::2]
+            path = []
+            v = sink
+            while v:
+                e = via[v]
+                path.append(e)
+                v = tail[e]
+            bottleneck = min([residual[e] for e in path])
+            for e in path:
+                residual[e] -= bottleneck
+                residual[e ^ 1] += bottleneck
+            value += bottleneck
+
+    def reachable(self, residual) -> set[int]:
+        """Nodes reachable from the source along edges of positive residual
+        capacity."""
+        seen = {0}
+        queue = [0]
+        for u in queue:
+            for v, e in self.adjacency[u]:
+                if v not in seen and residual[e] > 0:
+                    seen.add(v)
+                    queue.append(v)
+        return seen
 
 
-def build_flow_graph(instance: Instance, counts: Mapping[str, int]) -> FundingFlowGraph:
+class ArcValues(Mapping):
+    """Read-only (tail, head) -> Fraction view of scaled per-arc ints."""
+
+    def __init__(self, network: FundingNetwork, values: list[int]):
+        self._network = network
+        self._values = values
+
+    def __getitem__(self, arc: tuple[str, str]) -> Fraction:
+        return Fraction(self._values[self._network.arc_index[arc]], self._network.scale)
+
+    def __iter__(self):
+        return iter(self._network.arc_index)
+
+    def __len__(self) -> int:
+        return len(self._network.arc_index)
+
+
+@dataclass
+class FlowGraph:
+    """One count vector on an instance's funding network."""
+
+    network: FundingNetwork
+    scaled: list[int]  # arc capacities in units of 1/network.scale
+
+    @property
+    def capacity(self) -> ArcValues:
+        """Arc capacities by (tail, head) name."""
+        return ArcValues(self.network, self.scaled)
+
+
+def build_flow_graph(instance: Instance, counts: Mapping[str, int]) -> FlowGraph:
     """Build the funding graph for per-project matched counts."""
-    total_budget = sum(instance.budgets.values(), Fraction(0))
-    capacity: dict[tuple[str, str], Fraction] = {}
-    for s in instance.supervisors:
-        capacity[(SOURCE, s)] = instance.budgets[s]
-        for p in instance.supervised[s]:
-            capacity[(s, p)] = total_budget
-    for p in instance.projects:
-        capacity[(p, SINK)] = Fraction(counts.get(p, 0))
-    nodes = [SOURCE, *instance.supervisors, *instance.projects, SINK]
-    return FundingFlowGraph(nodes=nodes, capacity=capacity)
+    network = FundingNetwork(instance)
+    return FlowGraph(network, network.with_counts(_key(instance, counts)))
 
 
-def max_flow(graph: FundingFlowGraph) -> tuple[Fraction, dict[tuple[str, str], Fraction]]:
+def max_flow(graph: FlowGraph) -> tuple[Fraction, ArcValues]:
     """Maximum source-sink flow by shortest augmenting paths (Edmonds-Karp).
 
-    Returns the flow value and per-arc flow amounts.  Exact: capacities and
-    flows are rationals and every comparison is exact.
+    Returns the flow value and per-arc flow amounts.  Exact: the kernel
+    works in integer units of 1/L, and only the results are divided by L.
     """
-    flow: dict[tuple[str, str], Fraction] = {arc: Fraction(0) for arc in graph.capacity}
-
-    def residual(u: str, v: str) -> Fraction:
-        r = Fraction(0)
-        if (u, v) in graph.capacity:
-            r += graph.capacity[(u, v)] - flow[(u, v)]
-        if (v, u) in graph.capacity:
-            r += flow[(v, u)]
-        return r
-
-    value = Fraction(0)
-    while True:
-        parent: dict[str, str] = {SOURCE: SOURCE}
-        queue = deque([SOURCE])
-        while queue and SINK not in parent:
-            u = queue.popleft()
-            for v in graph.adjacency[u]:
-                if v not in parent and residual(u, v) > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if SINK not in parent:
-            return value, flow
-        # bottleneck along the path
-        path = []
-        v = SINK
-        while v != SOURCE:
-            u = parent[v]
-            path.append((u, v))
-            v = u
-        bottleneck = min(residual(u, v) for u, v in path)
-        for u, v in path:
-            if (u, v) in graph.capacity:
-                forward_room = graph.capacity[(u, v)] - flow[(u, v)]
-                push = min(bottleneck, forward_room)
-                flow[(u, v)] += push
-                remainder = bottleneck - push
-            else:
-                remainder = bottleneck
-            if remainder > 0:
-                flow[(v, u)] -= remainder
-        value += bottleneck
+    network = graph.network
+    value, flow = network.max_flow(graph.scaled)
+    return Fraction(value, network.scale), ArcValues(network, flow)
 
 
-def min_cut_reachable(graph: FundingFlowGraph, flow: Mapping[tuple[str, str], Fraction]) -> set[str]:
+def min_cut_reachable(graph: FlowGraph, flow: Mapping[tuple[str, str], Fraction]) -> set[str]:
     """Source side of a saturated cut certifying flow maximality."""
-    reach = {SOURCE}
-    queue = deque([SOURCE])
-    while queue:
-        u = queue.popleft()
-        for v in graph.adjacency[u]:
-            if v in reach:
-                continue
-            r = Fraction(0)
-            if (u, v) in graph.capacity:
-                r += graph.capacity[(u, v)] - flow[(u, v)]
-            if (v, u) in graph.capacity:
-                r += flow[(v, u)]
-            if r > 0:
-                reach.add(v)
-                queue.append(v)
-    return reach
+    network, names = graph.network, graph.network.names
+    residual = []
+    for (u, v), cap in zip(network.arcs, graph.scaled):
+        f = flow.get((names[u], names[v]), 0) * network.scale
+        residual += [cap - f, f]
+    return {names[v] for v in network.reachable(residual)}
+
+
+def _key(instance: Instance, counts: Mapping[str, int]) -> tuple[int, ...]:
+    """Counts in project order, absent projects counting 0."""
+    return tuple([counts.get(p, 0) for p in instance.projects])
 
 
 class SipFeasibility:
@@ -132,24 +189,26 @@ class SipFeasibility:
     Satisfies heredity (shrinking counts preserves feasibility) and
     anonymity (depends only on counts, never applicant identities).
     Verdicts are memoized; ``calls`` counts every query including cache
-    hits, so complexity assertions stay honest.
+    hits, so complexity assertions stay honest.  The funding network is
+    built on the first cache miss.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self.calls = 0
         self._cache: dict[tuple[int, ...], bool] = {}
+        self._network: FundingNetwork | None = None
 
     def __call__(self, counts: Mapping[str, int]) -> bool:
         self.calls += 1
-        key = tuple(counts.get(p, 0) for p in self.instance.projects)
+        key = _key(self.instance, counts)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        total = sum(key)
-        graph = build_flow_graph(self.instance, counts)
-        value, _ = max_flow(graph)
-        ok = value == total
+        if self._network is None:
+            self._network = FundingNetwork(self.instance)
+        value, _ = max_flow(FlowGraph(self._network, self._network.with_counts(key)))
+        ok = value == sum(key)
         self._cache[key] = ok
         return ok
 
@@ -176,9 +235,7 @@ def check_feasibility(
     m = matching if isinstance(matching, Matching) else Matching(frozenset(matching))
     if not m.is_valid(instance):
         return False, None
-    counts = m.counts(instance)
-    graph = build_flow_graph(instance, counts)
-    value, flow = max_flow(graph)
+    value, flow = max_flow(build_flow_graph(instance, m.counts(instance)))
     if value != len(m.pairs):
         return False, None
     allocation = {
@@ -211,7 +268,7 @@ def verify_allocation(
     return True
 
 
-def to_dot(graph: FundingFlowGraph, flow: Mapping[tuple[str, str], Fraction] | None = None) -> str:
+def to_dot(graph: FlowGraph, flow: Mapping[tuple[str, str], Fraction] | None = None) -> str:
     """DOT rendering of the funding graph, optionally annotated with a flow."""
     lines = ["digraph funding {", "  rankdir=LR;"]
     for (u, v), cap in sorted(graph.capacity.items()):

@@ -12,6 +12,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 
@@ -82,6 +83,16 @@ class Instance:
         """Score of ``applicant`` at ``project``: |A|-rank+1, or None if the
         project does not list the applicant."""
         return self._scores[project].get(applicant)
+
+    def scores_at(self, project: str) -> Mapping[str, int]:
+        """Score of every applicant ``project`` lists; empty for an unknown
+        project."""
+        return MappingProxyType(self._scores.get(project, {}))
+
+    def ranks_of(self, applicant: str) -> Mapping[str, int]:
+        """0-based rank of every project on ``applicant``'s list; empty for
+        an unknown applicant."""
+        return MappingProxyType(self._applicant_rank.get(applicant, {}))
 
     def mutually_acceptable(self, applicant: str, project: str) -> bool:
         return (
@@ -156,6 +167,8 @@ def format_rational(x: Fraction) -> str:
 
 def parse_rational(raw) -> Fraction:
     """Parse "num/den", decimal strings, or ints exactly (no float round-trip)."""
+    if isinstance(raw, bool):
+        raise ValueError(f"budget {raw!r} must be a string or integer, not a boolean")
     if isinstance(raw, int):
         return Fraction(raw)
     if isinstance(raw, float):
@@ -163,15 +176,74 @@ def parse_rational(raw) -> Fraction:
     return Fraction(str(raw))
 
 
+_ARRAY = (list, tuple)
+
+
+def _json_type(value) -> str:
+    """The JSON name of a parsed value's type."""
+    for kind, name in ((bool, "boolean"), (int, "number"), (float, "number"),
+                       (str, "string"), (_ARRAY, "array"), (dict, "object")):
+        if isinstance(value, kind):
+            return name
+    return "null" if value is None else type(value).__name__
+
+
+def _check_ids(out: list, value, where: str) -> None:
+    """Report ``value`` unless it is an array of string ids."""
+    if not isinstance(value, _ARRAY):
+        out.append((where, "bad-type", f"expected an array, got {_json_type(value)}"))
+        return
+    for i, x in enumerate(value):
+        if not isinstance(x, str):
+            out.append((f"{where}[{i}]", "bad-id", f"expected a string id, got {_json_type(x)}"))
+
+
+def _shape_violations(raw) -> list[tuple[str, str, str]]:
+    """Type errors in the parsed JSON that the semantic checks cannot read
+    past: the instance and every record must be objects, ids strings, and
+    id lists arrays."""
+    if not isinstance(raw, dict):
+        return [("instance", "bad-type", f"expected an object, got {_json_type(raw)}")]
+    out: list[tuple[str, str, str]] = []
+    _check_ids(out, raw.get("applicants", []), "applicants")
+    for key, members in (("projects", "prefs"), ("supervisors", "projects")):
+        records = raw.get(key, [])
+        if not isinstance(records, _ARRAY):
+            out.append((key, "bad-type", f"expected an array, got {_json_type(records)}"))
+            continue
+        for i, rec in enumerate(records):
+            where = f"{key}[{i}]"
+            if not isinstance(rec, dict):
+                out.append((where, "bad-type", f"expected an object, got {_json_type(rec)}"))
+                continue
+            if "id" not in rec:
+                out.append((where, "missing-id", 'no "id" field'))
+            elif not isinstance(rec["id"], str):
+                out.append((f"{where}.id", "bad-id",
+                            f"expected a string id, got {_json_type(rec['id'])}"))
+            _check_ids(out, rec.get(members, []), f"{where}.{members}")
+    prefs = raw.get("applicant_prefs", {})
+    if not isinstance(prefs, dict):
+        out.append(("applicant_prefs", "bad-type", f"expected an object, got {_json_type(prefs)}"))
+    else:
+        for a, ps in prefs.items():
+            _check_ids(out, ps, f"applicant_prefs.{a}")
+    return out
+
+
 def validate_instance(raw: Mapping) -> Instance:
     """Validate an instance description (parsed JSON) into an Instance.
 
     Raises ValidationError carrying every violation found (dangling ids,
-    duplicates, negative budgets or capacities).  A project without any
-    supervisor is permitted (it can never be funded) and only flagged in
-    ``Instance`` consumers, not here.
+    duplicates, negative budgets or capacities).  A JSON shape the checks
+    cannot read (a non-object instance or record, a missing or non-string
+    id, a non-list id list) is reported alone, before those checks.  A
+    project without any supervisor is permitted (it can never be funded)
+    and only flagged in ``Instance`` consumers, not here.
     """
-    violations: list[tuple[str, str, str]] = []
+    violations = _shape_violations(raw)
+    if violations:
+        raise ValidationError(violations)
 
     applicants = tuple(raw.get("applicants", ()))
     project_records = raw.get("projects", ())
@@ -197,7 +269,10 @@ def validate_instance(raw: Mapping) -> Instance:
     for rec in project_records:
         p = rec["id"]
         cap = rec.get("capacity", 0)
-        if not isinstance(cap, int) or cap < 0:
+        if isinstance(cap, bool) or not isinstance(cap, int):
+            violations.append((p, "bad-capacity", f"capacity {cap!r} is not an integer"))
+            cap = 0
+        elif cap < 0:
             violations.append((p, "negative-capacity", f"capacity {cap!r}"))
             cap = 0
         capacities[p] = cap

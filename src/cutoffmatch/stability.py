@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 from cutoffmatch.flow import SipFeasibility
@@ -30,14 +31,25 @@ class Matching:
 
     pairs: frozenset[tuple[str, str]]
 
-    def project_of(self, applicant: str) -> str | None:
+    @cached_property
+    def _project_by_applicant(self) -> dict[str, str]:
+        index: dict[str, str] = {}
         for a, p in self.pairs:
-            if a == applicant:
-                return p
-        return None
+            index.setdefault(a, p)  # an applicant holding two keeps the first
+        return index
+
+    @cached_property
+    def _applicants_by_project(self) -> dict[str, frozenset[str]]:
+        index: dict[str, set[str]] = {}
+        for a, p in self.pairs:
+            index.setdefault(p, set()).add(a)
+        return {p: frozenset(applicants) for p, applicants in index.items()}
+
+    def project_of(self, applicant: str) -> str | None:
+        return self._project_by_applicant.get(applicant)
 
     def applicants_at(self, project: str) -> frozenset[str]:
-        return frozenset(a for a, p in self.pairs if p == project)
+        return self._applicants_by_project.get(project, frozenset())
 
     def counts(self, instance: Instance) -> dict[str, int]:
         counts = {p: 0 for p in instance.projects}
@@ -52,9 +64,7 @@ class Matching:
             if a in seen:
                 return False
             seen.add(a)
-            if a not in instance._scores.get(p, {}):
-                return False
-            if p not in instance._applicant_rank.get(a, {}):
+            if a not in instance.scores_at(p) or p not in instance.ranks_of(a):
                 return False
         for p, c in self.counts(instance).items():
             if c > instance.capacities[p]:
@@ -221,7 +231,7 @@ def is_unconstrained(instance: Instance, matching: Matching, project: str,
     feas = feas or SipFeasibility(instance)
     candidates = [
         a for a in instance.project_prefs[project]
-        if project in instance._applicant_rank[a] and (a, project) not in matching.pairs
+        if project in instance.ranks_of(a) and (a, project) not in matching.pairs
     ]
     return all(augment_feasible(instance, matching, a, project, feas) for a in candidates)
 
@@ -249,17 +259,32 @@ def check_stability(instance: Instance, matching: Matching,
         )
 
     blockers = blocking_pairs(instance, matching)
+    counts = matching.counts(instance)
+
+    def probe(a: str, p: str, drop: str | None) -> bool:
+        """Feasibility of M + (a,p) - (a,drop), from the count vector alone.
+
+        M is valid, so only the new pair's acceptability and p's capacity
+        can break validity: this is augment_feasible (drop=None) or
+        swap_feasible (drop=M(a)) without rebuilding the matching."""
+        if not instance.mutually_acceptable(a, p) or counts[p] >= instance.capacities[p]:
+            return False
+        probed = dict(counts)
+        probed[p] += 1
+        if drop is not None:
+            probed[drop] -= 1
+        return feas(probed)
 
     def tolerated_weak(a: str, p: str) -> bool:
         all_preferred = all(
             instance.project_prefers(p, b, a) for b in matching.applicants_at(p)
         )
-        return all_preferred and not augment_feasible(instance, matching, a, p, feas)
+        return all_preferred and not probe(a, p, None)
 
     def tolerated_cutoff(a: str, p: str) -> bool:
-        if len(matching.applicants_at(p)) >= instance.capacities[p]:
+        if counts[p] >= instance.capacities[p]:
             return True
-        if not swap_feasible(instance, matching, a, p, feas):
+        if not probe(a, p, matching.project_of(a)):
             return True
         # a better-ranked rival outside M(p) who also wants p and cannot move
         for b in instance.project_prefs[p]:
@@ -267,9 +292,8 @@ def check_stability(instance: Instance, matching: Matching,
                 continue
             if (b, p) in matching.pairs:
                 continue
-            if instance.prefers(b, p, matching.project_of(b)) and not swap_feasible(
-                instance, matching, b, p, feas
-            ):
+            old = matching.project_of(b)
+            if instance.prefers(b, p, old) and not probe(b, p, old):
                 return True
         return False
 
@@ -277,7 +301,7 @@ def check_stability(instance: Instance, matching: Matching,
         all_preferred = all(
             instance.project_prefers(p, b, a) for b in matching.applicants_at(p)
         )
-        return all_preferred and not swap_feasible(instance, matching, a, p, feas)
+        return all_preferred and not probe(a, p, matching.project_of(a))
 
     weak_breakers = [bp for bp in blockers if not tolerated_weak(*bp)]
     if weak_breakers:

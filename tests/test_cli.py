@@ -209,3 +209,28 @@ def test_text_format(tmp_path, ex2, capsys):
     assert code == EXIT_OK
     assert "matching: " in out and "cutoff_stable: True" in out
     assert "wall_time_s" not in out
+
+
+EX_PROJECT = {"id": "p", "capacity": 1, "prefs": ["a"]}
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"applicants": ["a"], "projects": [{"capacity": 1, "prefs": ["a"]}]},
+     'projects[0]: missing-id: no "id" field'),
+    ([EX_PROJECT],
+     "instance: bad-type: expected an object, got array"),
+    ({"applicants": [["a"]], "projects": [EX_PROJECT]},
+     "applicants[0]: bad-id: expected a string id, got array"),
+    ({"applicants": ["a"], "projects": ["p"]},
+     "projects[0]: bad-type: expected an object, got string"),
+    ({"applicants": ["a"], "projects": [{**EX_PROJECT, "capacity": True}],
+      "supervisors": [{"id": "s", "budget": "1", "projects": ["p"]}],
+      "applicant_prefs": {"a": ["p"]}},
+     "p: bad-capacity: capacity True is not an integer"),
+])
+def test_solve_rejects_malformed_instances(tmp_path, capsys, payload, message):
+    inst = write_json(tmp_path, "inst.json", payload)
+    assert main(["solve", str(inst)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {inst}: invalid instance: {message}\n"

@@ -2,6 +2,7 @@
 properties the stability layer depends on (heredity, anonymity,
 integrality)."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -141,3 +142,129 @@ def test_to_dot_lists_every_arc():
     dot = to_dot(graph)
     assert dot.startswith("digraph funding {")
     assert dot.count("->") == len(graph.capacity)
+
+
+# -- the integer kernel against Gale's supply-demand condition ------------
+
+# denominators 3 and 7 give the kernel a scale of L = 21; zero budgets
+# and unsupervised projects appear too
+MIXED_BUDGETS = (Fraction(0), Fraction(1, 3), Fraction(2, 7), Fraction(1),
+                 Fraction(5, 3), Fraction(9, 7))
+
+
+def mixed_instance(seed):
+    """Up to 4 projects (capacities 0-2) and 3 supervisors with budgets
+    from MIXED_BUDGETS; every applicant accepts every project, so any
+    count vector within capacity is some matching's."""
+    rng = random.Random(seed)
+    projects = [f"p{j}" for j in range(1, rng.randint(1, 4) + 1)]
+    supervisors = [f"s{k}" for k in range(1, rng.randint(1, 3) + 1)]
+    capacities = {p: rng.randint(0, 2) for p in projects}
+    applicants = [f"a{i}" for i in range(1, sum(capacities.values()) + 1)]
+    return make_instance(
+        applicants=applicants,
+        applicant_prefs={a: projects for a in applicants},
+        project_prefs={p: applicants for p in projects},
+        capacities=capacities,
+        supervised={s: rng.sample(projects, rng.randint(0, len(projects)))
+                    for s in supervisors},
+        budgets={s: rng.choice(MIXED_BUDGETS) for s in supervisors},
+        projects=projects,
+        supervisors=supervisors,
+    )
+
+
+def count_vectors(inst):
+    """Every count vector within capacity, as (counts, matching) pairs."""
+    ranges = [range(inst.capacities[p] + 1) for p in inst.projects]
+    for vector in itertools.product(*ranges):
+        applicants = iter(inst.applicants)
+        pairs = [(next(applicants), p) for p, c in zip(inst.projects, vector) for _ in range(c)]
+        yield dict(zip(inst.projects, vector)), M(*pairs)
+
+
+def gale_violations(inst, counts):
+    """Project sets Q whose demand exceeds the budget of their supervisors
+    N(Q); the counts are feasible iff there are none (Gale 1957)."""
+    out = []
+    for r in range(1, len(inst.projects) + 1):
+        for q in itertools.combinations(inst.projects, r):
+            supply = sum((inst.budgets[s] for s in inst.supervisors
+                          if set(inst.supervised[s]) & set(q)), Fraction(0))
+            if sum(counts[p] for p in q) > supply:
+                out.append(q)
+    return out
+
+
+MIXED_SWEEP = [mixed_instance(seed) for seed in range(400)]
+
+
+def test_mixed_sweep_covers_the_edge_cases():
+    denominators = {q.denominator for inst in MIXED_SWEEP for q in inst.budgets.values()}
+    assert {3, 7} <= denominators
+    assert any(q == 0 for inst in MIXED_SWEEP for q in inst.budgets.values())
+    assert any(not inst.supervisors_of(p) for inst in MIXED_SWEEP for p in inst.projects)
+
+
+def test_sip_feasibility_equals_gale_condition():
+    verdicts = {True: 0, False: 0}
+    for inst in MIXED_SWEEP:
+        feas = SipFeasibility(inst)
+        for counts, _ in count_vectors(inst):
+            ok = feas(counts)
+            assert ok == (not gale_violations(inst, counts)), (inst, counts)
+            verdicts[ok] += 1
+    assert min(verdicts.values()) > 500
+
+
+def test_certificates_verify_and_cuts_name_violated_sets():
+    for inst in MIXED_SWEEP:
+        for counts, m in count_vectors(inst):
+            ok, alloc = check_feasibility(inst, m)
+            if ok:
+                assert verify_allocation(inst, counts, alloc), (inst, counts)
+                continue
+            graph = build_flow_graph(inst, counts)
+            value, flow = max_flow(graph)
+            assert value < sum(counts.values())
+            reach = min_cut_reachable(graph, flow)
+            assert SOURCE in reach and SINK not in reach
+            # the cut's capacity is the flow value: the flow is maximum
+            assert value == sum(cap for (u, v), cap in graph.capacity.items()
+                                if u in reach and v not in reach)
+            q = [p for p in inst.projects if p not in reach]
+            supply = sum((inst.budgets[s] for s in inst.supervisors
+                          if set(inst.supervised[s]) & set(q)), Fraction(0))
+            assert sum(counts[p] for p in q) > supply, (inst, counts)
+
+
+def test_flows_are_fractions_in_budget_units():
+    inst = next(inst for inst in MIXED_SWEEP
+                if {q.denominator for q in inst.budgets.values()} >= {3, 7})
+    counts = {p: inst.capacities[p] for p in inst.projects}
+    value, flow = max_flow(build_flow_graph(inst, counts))
+    assert isinstance(value, Fraction)
+    assert value == sum(flow[(p, SINK)] for p in inst.projects)
+    for s in inst.supervisors:
+        assert flow[(SOURCE, s)] <= inst.budgets[s]
+        assert flow[(SOURCE, s)] == sum((flow[(s, p)] for p in inst.supervised[s]),
+                                        Fraction(0))
+
+
+def test_supervisor_named_like_a_project_stays_a_separate_node():
+    # s2 funds only p1; the supervisor *named* "p1" funds only p2 and has
+    # no budget.  On a graph keyed by name the two p1 nodes merge and s2's
+    # budget leaks through to p2.
+    inst = make_instance(
+        applicants=["a"],
+        applicant_prefs={"a": ["p2"]},
+        project_prefs={"p1": [], "p2": ["a"]},
+        capacities={"p1": 1, "p2": 1},
+        supervised={"s2": ["p1"], "p1": ["p2"]},
+        budgets={"s2": 5, "p1": 0},
+        projects=["p1", "p2"],
+        supervisors=["s2", "p1"],
+    )
+    assert not feasible_counts(inst, {"p2": 1})
+    assert feasible_counts(inst, {"p1": 1})
+    assert check_feasibility(inst, M(("a", "p2"))) == (False, None)

@@ -312,3 +312,102 @@ def test_weakly_stable_dominated_by_some_cutoff_stable():
         for m, v in table:
             if v.at_least("weak") and not v.at_least("cutoff"):
                 assert any(pareto_dominates(inst, c, m) for c in cutoff_ms), (name, m)
+
+
+# -- the count-arithmetic checker against a rebuild-every-probe reference --
+
+def reference_verdict(instance, matching, feas):
+    """check_stability's classification, with every augment or swap probe
+    answered by the public augment_feasible / swap_feasible, which build
+    the edited matching and re-validate it."""
+    if not matching_feasible(instance, matching, feas):
+        return {"level": "infeasible", "witnesses": []}
+    fair, envy = is_fair(instance, matching)
+    if not fair:
+        return {"level": "unfair", "witnesses": [
+            {"applicant": a, "project": p, "reason": "justified-envy"} for a, p in envy]}
+
+    def held(a):
+        return next((q for b, q in matching.pairs if b == a), None)
+
+    def at(p):
+        return [b for b, q in matching.pairs if q == p]
+
+    def outranked_by_all(a, p):
+        return all(instance.project_prefers(p, b, a) for b in at(p))
+
+    def tolerated_weak(a, p):
+        return outranked_by_all(a, p) and not augment_feasible(instance, matching, a, p, feas)
+
+    def tolerated_cutoff(a, p):
+        if len(at(p)) >= instance.capacities[p]:
+            return True
+        if not swap_feasible(instance, matching, a, p, feas):
+            return True
+        return any(
+            b != a and instance.project_prefers(p, b, a) and (b, p) not in matching.pairs
+            and instance.prefers(b, p, held(b))
+            and not swap_feasible(instance, matching, b, p, feas)
+            for b in instance.project_prefs[p]
+        )
+
+    def tolerated_strong(a, p):
+        return outranked_by_all(a, p) and not swap_feasible(instance, matching, a, p, feas)
+
+    blockers = blocking_pairs(instance, matching)
+    for level, reason, tolerated in (("fair", "weakly-wasteful", tolerated_weak),
+                                     ("weak", "cutoff-wasteful", tolerated_cutoff),
+                                     ("cutoff", "strongly-wasteful", tolerated_strong)):
+        breakers = [(a, p) for a, p in blockers if not tolerated(a, p)]
+        if breakers:
+            return {"level": level, "witnesses": [
+                {"applicant": a, "project": p, "reason": reason} for a, p in breakers]}
+    return {"level": "strong", "witnesses": []}
+
+
+def test_checker_equals_reference_classifier():
+    instances = [gadget(name) for name in GADGET_NAMES] + SMALL_SWEEP
+    levels = set()
+    for inst in instances:
+        fast, slow = SipFeasibility(inst), SipFeasibility(inst)
+        for m in enumerate_matchings(inst):
+            verdict = check_stability(inst, m, fast).to_json_dict()
+            assert verdict == reference_verdict(inst, m, slow), (inst, m)
+            # the same feasibility queries, so the same max-flow work
+            assert fast.calls == slow.calls
+            levels.add(verdict["level"])
+    assert levels == set(LEVELS) - {"infeasible"}  # enumerated matchings are feasible
+
+
+def test_checker_equals_reference_on_infeasible_and_unfair_matchings():
+    inst = gadget("example1")
+    for m in (M(("a2", "p1")), M(("a1", "p2"), ("a2", "p1")), M(("a1", "p1"), ("a1", "p2"))):
+        feas = SipFeasibility(inst)
+        assert check_stability(inst, m, feas).to_json_dict() == reference_verdict(inst, m, feas)
+    inst = gadget("example2_unsolvable")
+    m = M(("a1", "p2"))
+    verdict = check_stability(inst, m).to_json_dict()
+    assert verdict == reference_verdict(inst, m, SipFeasibility(inst))
+    assert verdict["level"] == "unfair"
+
+
+def test_matching_lookups_when_an_applicant_holds_two_projects():
+    m = M(("a1", "p1"), ("a1", "p2"), ("a2", "p2"))
+    # the first pair in the set's own order wins, as a scan would find it
+    assert m.project_of("a1") == next(p for a, p in m.pairs if a == "a1")
+    assert m.project_of("a2") == "p2"
+    assert m.project_of("a3") is None
+    assert m.applicants_at("p1") == frozenset({"a1"})
+    assert m.applicants_at("p2") == frozenset({"a1", "a2"})
+    assert m.applicants_at("p9") == frozenset()
+
+
+def test_matching_equality_and_hash_ignore_cached_indexes():
+    pairs = [("a1", "p1"), ("a2", "p2"), ("a3", "p1")]
+    m1 = Matching(frozenset(pairs))
+    m2 = Matching(frozenset(reversed(pairs)))
+    m1.project_of("a1")
+    m1.applicants_at("p1")
+    assert m1 == m2 and hash(m1) == hash(m2)
+    assert len({m1, m2}) == 1
+    assert m1 != M(*pairs[:2])
