@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
+from collections import Counter
 from fractions import Fraction
 
 from cutoffmatch import egalitarian, engine, milp, oracle
@@ -57,11 +57,13 @@ def _load_instance(path: str) -> Instance:
 
 def _load_matching(path: str) -> Matching:
     raw = _load_json(path)
-    pairs = raw.get("pairs", raw) if isinstance(raw, dict) else raw
-    try:
-        return Matching(frozenset((a, p) for a, p in pairs))
-    except (TypeError, ValueError):
+    pairs = raw.get("pairs") if isinstance(raw, dict) else raw
+    if not isinstance(pairs, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)
+        for pair in pairs
+    ):
         raise InputError(f"{path}: expected a list of [applicant, project] pairs")
+    return Matching(frozenset((a, p) for a, p in pairs))
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -70,8 +72,6 @@ def _emit(report: dict, fmt: str) -> None:
         sys.stdout.write("\n")
         return
     for key, value in report.items():
-        if key == "wall_time_s":
-            continue
         if isinstance(value, (list, dict)):
             sys.stdout.write(f"{key}: {json.dumps(value)}\n")
         else:
@@ -85,7 +85,6 @@ def _matching_json(matching: Matching, instance: Instance) -> list[list[str]]:
 def cmd_check(args) -> int:
     instance = _load_instance(args.instance)
     matching = _load_matching(args.matching)
-    start = time.perf_counter()
     feasible, allocation = check_feasibility(instance, matching)
     report = {
         "command": "check",
@@ -99,11 +98,11 @@ def cmd_check(args) -> int:
         verdict = check_stability(instance, matching)
         report["stability"] = verdict.to_json_dict()
     if args.dot:
-        graph = build_flow_graph(instance, matching.counts(instance))
+        # a project the instance lacks has no node, so its pairs drop out
+        graph = build_flow_graph(instance, Counter(p for _, p in matching.pairs))
         _, flow = max_flow(graph)
         with open(args.dot, "w") as fh:
             fh.write(to_dot(graph, flow))
-    report["wall_time_s"] = round(time.perf_counter() - start, 6)
     _emit(report, args.format)
     return EXIT_OK if feasible else EXIT_NEGATIVE
 
@@ -118,7 +117,6 @@ def cmd_solve(args) -> int:
             raise InputError(f"unknown projects in --order: {sorted(unknown)}")
         if sorted(order) != sorted(instance.projects):
             raise InputError("--order must list every project exactly once")
-    start = time.perf_counter()
     matching, cutoffs, trace = engine.solve(instance, project_order=order)
     verdict = check_stability(instance, matching)
     report = {
@@ -126,8 +124,7 @@ def cmd_solve(args) -> int:
         "matching": _matching_json(matching, instance),
         "cutoffs": dict(cutoffs.cutoffs),
         "cutoff_stable": verdict.at_least("cutoff"),
-        "feasibility_calls": engine.count_feasibility_calls(trace),
-        "wall_time_s": round(time.perf_counter() - start, 6),
+        "feasibility_calls": trace.feasibility_calls,
     }
     if args.trace:
         sys.stderr.write(trace.to_json_lines())
@@ -144,10 +141,8 @@ def cmd_optimize(args) -> int:
             "raise CUTOFFMATCH_GUARD to override\n"
         )
         return EXIT_GUARD
-    start = time.perf_counter()
-    model = milp.build_model(instance)
     if args.export_lp:
-        milp.export_lp_file(model, args.export_lp)
+        milp.export_lp_file(milp.build_model(instance), args.export_lp)
     try:
         matching, cutoffs, objective, nodes = milp.solve_max_cutoff_stable(
             instance, node_limit=args.node_limit
@@ -162,7 +157,6 @@ def cmd_optimize(args) -> int:
         "cutoffs": dict(cutoffs.cutoffs),
         "objective": format_rational(objective),
         "nodes": nodes,
-        "wall_time_s": round(time.perf_counter() - start, 6),
     }
     _emit(report, args.format)
     return EXIT_OK
@@ -188,7 +182,6 @@ def cmd_allocate(args) -> int:
     matching = _load_matching(args.matching)
     strict = args.mode == "strict"
     targets = _load_targets(args.targets, instance, strict) if args.targets else None
-    start = time.perf_counter()
     try:
         result = egalitarian.egalitarian_allocation(
             instance, matching, targets, strict=strict
@@ -202,7 +195,6 @@ def cmd_allocate(args) -> int:
         **result.to_json_dict(targets),
         "ratios": [format_rational(r) for r in result.ratios],
         "lp_solves": result.lp_solves,
-        "wall_time_s": round(time.perf_counter() - start, 6),
     }
     _emit(report, args.format)
     return EXIT_OK
@@ -225,6 +217,8 @@ def cmd_generate(args) -> int:
         )
     except ValueError as exc:
         raise InputError(str(exc))
+    except ZeroDivisionError as exc:
+        raise InputError(f"zero denominator in --density or --budgets: {exc}")
     _write_instance(instance, args.out)
     return EXIT_OK
 
@@ -254,7 +248,8 @@ def cmd_oracle(args) -> int:
     except oracle.GuardExceeded as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_GUARD
-    size, witnesses = oracle.max_cutoff_stable_bruteforce(instance, args.guard)
+    cutoff_stable = [m for m, verdict in table.items() if verdict.at_least("cutoff")]
+    size = max(map(len, cutoff_stable), default=0)
     report = {
         "command": "oracle",
         "matchings": [
@@ -265,7 +260,9 @@ def cmd_oracle(args) -> int:
             for m, verdict in table.items()
         ],
         "max_cutoff_stable_size": size,
-        "max_cutoff_stable_witnesses": [_matching_json(m, instance) for m in witnesses],
+        "max_cutoff_stable_witnesses": [
+            _matching_json(m, instance) for m in cutoff_stable if len(m) == size
+        ],
     }
     _emit(report, args.format)
     return EXIT_OK
@@ -277,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="matching with supervisor budget constraints",
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="feasibility and stability of a matching")
@@ -290,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--order", help="comma-separated project scan order")
     p.add_argument("--trace", action="store_true", help="emit JSON-lines trace to stderr")
-    p.add_argument("--seed", type=int, default=0, help="reserved; kept for report digests")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("optimize", help="maximum-size cutoff stable matching (exact MILP)")

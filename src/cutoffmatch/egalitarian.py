@@ -13,7 +13,6 @@ without re-running the loop.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -80,9 +79,6 @@ class AllocationResult:
                 "round_fixed": self.fixed_round[(s, p)],
             })
         return {"pairs": pairs}
-
-    def to_json(self, targets: TargetProfile) -> str:
-        return json.dumps(self.to_json_dict(targets), indent=2) + "\n"
 
 
 def default_targets(instance: Instance, matching: Matching) -> TargetProfile:

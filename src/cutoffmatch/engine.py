@@ -42,20 +42,13 @@ class TraceEntry:
 @dataclass
 class EngineTrace:
     entries: list[TraceEntry] = field(default_factory=list)
+    # feasibility-function evaluations during the solve; at most
+    # (|A|+1)*|P|^2: at most (|A|+1)*|P| successful decrements, each after a
+    # scan of at most |P| candidates costing at most one evaluation each
     feasibility_calls: int = 0
 
     def to_json_lines(self) -> str:
         return "".join(json.dumps(e.to_json_dict()) + "\n" for e in self.entries)
-
-
-def count_feasibility_calls(trace: EngineTrace) -> int:
-    """Total feasibility-function evaluations during a solve.
-
-    Bounded by (|A|+1) * |P|^2: at most (|A|+1)*|P| successful decrements,
-    each preceded by a scan of at most |P| candidate checks costing at most
-    one evaluation each (implementation constant C = 1).
-    """
-    return trace.feasibility_calls
 
 
 def solve(

@@ -213,11 +213,6 @@ class SipFeasibility:
         return ok
 
 
-def feasible_counts(instance: Instance, counts: Mapping[str, int]) -> bool:
-    """One-shot count-vector feasibility (no memoization)."""
-    return SipFeasibility(instance)(counts)
-
-
 def check_feasibility(
     instance: Instance, matching
 ) -> tuple[bool, dict[tuple[str, str], Fraction] | None]:

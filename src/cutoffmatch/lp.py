@@ -82,15 +82,6 @@ def solve_lp(program: LinearProgram) -> LpSolution:
     Bland's anti-cycling rule guarantees termination.  Optimal solutions
     satisfy every constraint exactly (substitute and compare rationals).
     """
-    if not program.variables:
-        # trivial program: only constant constraints
-        for coeffs, sense, rhs in program.constraints:
-            lhs = Fraction(0)
-            ok = {"<=": lhs <= rhs, "=": lhs == rhs, ">=": lhs >= rhs}[sense]
-            if not ok:
-                return LpSolution(INFEASIBLE)
-        return LpSolution(OPTIMAL, {}, Fraction(0), [Fraction(0)] * len(program.constraints))
-
     # -- rewrite to: min c.y  s.t.  A y = b, y >= 0 ----------------------
     # each original variable becomes y (shifted by lower bound) or a pair
     # y+ - y- when free; upper bounds become extra rows.

@@ -11,11 +11,11 @@ minimal, i.e. the matching is cutoff stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
-from cutoffmatch.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, export_lp_text, solve_lp
+from cutoffmatch.lp import OPTIMAL, LinearProgram, export_lp_text, solve_lp
 from cutoffmatch.model import Instance
 from cutoffmatch.stability import CutoffVector, Matching, check_stability
 
@@ -38,37 +38,37 @@ class MilpModel:
     big_w: int
 
 
-def _safe(name: str) -> str:
-    return name.replace(" ", "_")
-
-
 def build_model(instance: Instance) -> MilpModel:
     """Assemble the relaxed program plus integrality metadata.
 
     W = |P|(|A|+1)+1, strictly larger than any possible cutoff sum, so one
     extra matched applicant always outweighs the cutoff term.  Capacity
     rows are included even though the induced-matching constraints do not
-    imply them.
+    imply them.  Variables are named by position (``y_<i>_<j>`` for
+    applicant i and project j, ``x_<k>_<j>`` for supervisor k, ``d_<j>``),
+    so any ids give distinct names.
     """
     n = len(instance.applicants)
     big_m = n + 1
     big_w = len(instance.projects) * big_m + 1
     lp = LinearProgram(maximize=True)
 
+    a_pos = {a: i for i, a in enumerate(instance.applicants)}
+    p_pos = {p: j for j, p in enumerate(instance.projects)}
     y_vars = []
     for a, p in instance.acceptable_pairs():
-        name = f"y_{_safe(a)}_{_safe(p)}"
+        name = f"y_{a_pos[a]}_{p_pos[p]}"
         lp.add_variable(name, Fraction(0), Fraction(1), objective=big_w)
         y_vars.append((name, a, p))
     x_vars = []
-    for s in instance.supervisors:
+    for k, s in enumerate(instance.supervisors):
         for p in instance.supervised[s]:
-            name = f"x_{_safe(s)}_{_safe(p)}"
+            name = f"x_{k}_{p_pos[p]}"
             lp.add_variable(name, Fraction(0))
             x_vars.append((name, s, p))
     d_vars = []
     for p in instance.projects:
-        name = f"d_{_safe(p)}"
+        name = f"d_{p_pos[p]}"
         lp.add_variable(name, Fraction(0), Fraction(big_m), objective=-1)
         d_vars.append((name, p))
 
@@ -215,6 +215,15 @@ def solve_max_cutoff_stable(
 
 
 def export_lp_file(model: MilpModel, path: str) -> None:
-    """Write the model in LP file format; deterministic, byte-stable."""
+    """Write the model in LP file format; deterministic, byte-stable.
+
+    After the objective sense, one comment per variable names its ids,
+    JSON-escaped so that any id stays on one line.
+    """
+    q = json.dumps
+    legend = [f"\\ {v}: applicant {q(a)}, project {q(p)}" for v, a, p in model.y_vars]
+    legend += [f"\\ {v}: supervisor {q(s)}, project {q(p)}" for v, s, p in model.x_vars]
+    legend += [f"\\ {v}: project {q(p)}" for v, p in model.d_vars]
+    sense, body = export_lp_text(model.program).split("\n", 1)
     with open(path, "w") as fh:
-        fh.write(export_lp_text(model.program))
+        fh.write("\n".join([sense, *legend, body]))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from cutoffmatch.flow import SipFeasibility
 from cutoffmatch.model import Instance, make_instance

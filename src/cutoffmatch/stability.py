@@ -14,7 +14,6 @@ differ in which blocking pairs are tolerated:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
@@ -72,8 +71,13 @@ class Matching:
         return True
 
     def sorted_pairs(self, instance: Instance) -> list[tuple[str, str]]:
-        order = {a: i for i, a in enumerate(instance.applicants)}
-        return sorted(self.pairs, key=lambda ap: order.get(ap[0], len(order)))
+        """Pairs by applicant position, then project position; ids the
+        instance lacks come after the known ones, by id."""
+        a_pos = {a: (i, "") for i, a in enumerate(instance.applicants)}
+        p_pos = {p: (j, "") for j, p in enumerate(instance.projects)}
+        return sorted(self.pairs, key=lambda ap: (
+            a_pos.get(ap[0], (len(a_pos), ap[0])), p_pos.get(ap[1], (len(p_pos), ap[1]))
+        ))
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -106,9 +110,6 @@ class StabilityVerdict:
 
     def to_json_dict(self) -> dict:
         return {"level": self.level, "witnesses": self.witnesses}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
 # -- feasibility of matching edits (count-vector semantics) ---------------
@@ -275,11 +276,11 @@ def check_stability(instance: Instance, matching: Matching,
             probed[drop] -= 1
         return feas(probed)
 
+    def outranked_by_all(a: str, p: str) -> bool:
+        return all(instance.project_prefers(p, b, a) for b in matching.applicants_at(p))
+
     def tolerated_weak(a: str, p: str) -> bool:
-        all_preferred = all(
-            instance.project_prefers(p, b, a) for b in matching.applicants_at(p)
-        )
-        return all_preferred and not probe(a, p, None)
+        return outranked_by_all(a, p) and not probe(a, p, None)
 
     def tolerated_cutoff(a: str, p: str) -> bool:
         if counts[p] >= instance.capacities[p]:
@@ -298,32 +299,18 @@ def check_stability(instance: Instance, matching: Matching,
         return False
 
     def tolerated_strong(a: str, p: str) -> bool:
-        all_preferred = all(
-            instance.project_prefers(p, b, a) for b in matching.applicants_at(p)
-        )
-        return all_preferred and not probe(a, p, matching.project_of(a))
+        return outranked_by_all(a, p) and not probe(a, p, matching.project_of(a))
 
-    weak_breakers = [bp for bp in blockers if not tolerated_weak(*bp)]
-    if weak_breakers:
-        return StabilityVerdict(
-            "fair",
-            [{"applicant": a, "project": p, "reason": "weakly-wasteful"}
-             for a, p in weak_breakers],
-        )
-    cutoff_breakers = [bp for bp in blockers if not tolerated_cutoff(*bp)]
-    if cutoff_breakers:
-        return StabilityVerdict(
-            "weak",
-            [{"applicant": a, "project": p, "reason": "cutoff-wasteful"}
-             for a, p in cutoff_breakers],
-        )
-    strong_breakers = [bp for bp in blockers if not tolerated_strong(*bp)]
-    if strong_breakers:
-        return StabilityVerdict(
-            "cutoff",
-            [{"applicant": a, "project": p, "reason": "strongly-wasteful"}
-             for a, p in strong_breakers],
-        )
+    # each rung: the level a matching stays at when some blocking pair is
+    # not tolerated, and the reason its witnesses carry
+    for level, reason, tolerated in (("fair", "weakly-wasteful", tolerated_weak),
+                                     ("weak", "cutoff-wasteful", tolerated_cutoff),
+                                     ("cutoff", "strongly-wasteful", tolerated_strong)):
+        breakers = [(a, p) for a, p in blockers if not tolerated(a, p)]
+        if breakers:
+            return StabilityVerdict(level, [
+                {"applicant": a, "project": p, "reason": reason} for a, p in breakers
+            ])
     return StabilityVerdict("strong")
 
 

@@ -12,8 +12,8 @@ from fractions import Fraction
 from conftest import M, pair_sets, random_instance, random_matching, random_smti
 
 from cutoffmatch.egalitarian import default_targets, egalitarian_allocation, verify_leximin
-from cutoffmatch.engine import count_feasibility_calls, solve
-from cutoffmatch.flow import SipFeasibility, check_feasibility, feasible_counts
+from cutoffmatch.engine import solve
+from cutoffmatch.flow import SipFeasibility, check_feasibility
 from cutoffmatch.milp import solve_max_cutoff_stable
 from cutoffmatch.model import GADGET_NAMES, gadget, make_instance, validate_instance
 from cutoffmatch.oracle import (
@@ -122,7 +122,7 @@ def test_c06_engine_property_sweep_200_instances():
                 dec = induce(inst, cutoffs.decremented(p))
                 assert not matching_feasible(inst, dec, feas), (seed, p)
         bound = (len(inst.applicants) + 1) * len(inst.projects) ** 2
-        assert count_feasibility_calls(trace) <= bound, seed
+        assert trace.feasibility_calls <= bound, seed
     assert time.perf_counter() - start < 60.0
 
 
@@ -243,7 +243,7 @@ def test_c12_heredity_and_anonymity_500_triples():
         rng = random.Random(seed * 7 + 3)
         m = random_matching(inst, rng)
         counts = m.counts(inst)
-        feasible = feasible_counts(inst, counts)
+        feasible = SipFeasibility(inst)(counts)
         # anonymity: the matching-level answer only depends on counts
         assert check_feasibility(inst, m)[0] == feasible
         if feasible:

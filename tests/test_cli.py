@@ -2,10 +2,19 @@
 determinism of the file-producing commands."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from conftest import random_instance, random_smti
+
+import cutoffmatch
 from cutoffmatch.cli import EXIT_GUARD, EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, main
+from cutoffmatch.model import GADGET_NAMES, gadget, validate_instance
+from cutoffmatch.oracle import max_cutoff_stable_bruteforce, reduce_smti_maxsize
 
 
 @pytest.fixture
@@ -62,6 +71,66 @@ def test_check_dot_output(tmp_path, ex2, capsys):
     assert dot.read_text().startswith("digraph funding {")
 
 
+def test_check_dot_unknown_project_is_infeasible(tmp_path, capsys):
+    inst = tmp_path / "ex1.json"
+    main(["gadget", "example1", "--out", str(inst)])
+    m = write_json(tmp_path, "m.json", [["a1", "p9"]])
+    code, plain, _ = run_json(capsys, ["check", str(inst), str(m)])
+    dot = tmp_path / "flow.dot"
+    code_dot, report, err = run_json(capsys, ["check", str(inst), str(m), "--dot", str(dot)])
+    assert code == code_dot == EXIT_NEGATIVE
+    assert report == plain == {"command": "check", "matching": [["a1", "p9"]],
+                               "feasible": False}
+    assert err == ""
+    assert dot.read_text().startswith("digraph funding {")
+
+
+def test_check_pair_order_ignores_hash_seed(tmp_path):
+    inst = tmp_path / "ex1.json"
+    main(["gadget", "example1", "--out", str(inst)])
+    m = write_json(tmp_path, "m.json", [["a1", "p2"], ["a1", "p1"]])
+    outs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": str(Path(cutoffmatch.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "cutoffmatch.cli", "check", str(inst), str(m)],
+            capture_output=True, env=env, check=False)
+        assert proc.returncode == EXIT_NEGATIVE and proc.stderr == b""
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["matching"] == [["a1", "p1"], ["a1", "p2"]]
+
+
+def test_every_subcommand_prints_the_same_bytes_twice(tmp_path, ex2, capsys):
+    m = write_json(tmp_path, "m.json", [["a1", "p1"]])
+    commands = [
+        ["check", str(ex2), str(m)],
+        ["solve", str(ex2), "--trace"],
+        ["optimize", str(ex2)],
+        ["allocate", str(ex2), str(m)],
+        ["generate", "--seed", "3"],
+        ["gadget", "example3_cycle"],
+        ["oracle", str(ex2)],
+    ]
+    for argv in commands:
+        for fmt in ("json", "text"):
+            runs = []
+            for _ in range(2):
+                assert main(["--format", fmt, *argv]) == EXIT_OK, argv
+                runs.append(capsys.readouterr())
+            assert runs[0].out and runs[0] == runs[1], argv
+
+
+@pytest.mark.parametrize("pairs", [["ap"], [[1, "p1"]]])
+def test_check_rejects_malformed_matching(tmp_path, ex2, capsys, pairs):
+    m = write_json(tmp_path, "m.json", pairs)
+    assert main(["check", str(ex2), str(m)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {m}: expected a list of [applicant, project] pairs\n"
+
+
 def test_solve_with_order_and_trace(tmp_path, ex2, capsys):
     code, report, err = run_json(
         capsys, ["solve", str(ex2), "--order", "p2,p1", "--trace"])
@@ -88,6 +157,25 @@ def test_optimize(tmp_path, ex2, capsys):
     assert report["matching"] == [["a1", "p1"]]
     assert report["objective"] == "2"  # 1*W - (2+3) with W = 7
     assert lp_out.read_text().startswith("Maximize\n")
+
+
+def test_optimize_ids_that_join_alike(tmp_path, capsys):
+    # "a_b" + "c" and "a" + "b_c" would both read y_a_b_c if named by id
+    payload = {
+        "applicants": ["a_b", "a"],
+        "projects": [{"id": "c", "capacity": 1, "prefs": ["a_b"]},
+                     {"id": "b_c", "capacity": 1, "prefs": ["a"]}],
+        "supervisors": [{"id": "s", "budget": "1", "projects": ["c", "b_c"]}],
+        "applicant_prefs": {"a_b": ["c"], "a": ["b_c"]},
+    }
+    inst = write_json(tmp_path, "inst.json", payload)
+    lp_out = tmp_path / "model.lp"
+    code, report, _ = run_json(capsys, ["optimize", str(inst), "--export-lp", str(lp_out)])
+    assert code == EXIT_OK
+    assert report["size"] == max_cutoff_stable_bruteforce(validate_instance(payload))[0]
+    legend = [line for line in lp_out.read_text().splitlines() if line.startswith("\\ ")]
+    assert legend[:2] == ['\\ y_0_0: applicant "a_b", project "c"',
+                          '\\ y_1_1: applicant "a", project "b_c"']
 
 
 def test_optimize_node_limit_exit(ex2):
@@ -178,6 +266,15 @@ def test_generate_rejects_bad_sizes():
     assert main(["generate", "--seed", "1", "--sizes", "x"]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("flags", [["--density", "1/0"], ["--budgets", "1/0,2"]])
+def test_generate_rejects_zero_denominator(capsys, flags):
+    assert main(["generate", "--seed", "1", *flags]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: zero denominator in --density or --budgets: "
+                            "Fraction(1, 0)\n")
+
+
 def test_oracle_classification(tmp_path, ex2, capsys):
     code, report, _ = run_json(capsys, ["oracle", str(ex2)])
     assert code == EXIT_OK
@@ -186,6 +283,23 @@ def test_oracle_classification(tmp_path, ex2, capsys):
     assert levels[()] == "fair"
     assert levels[(("a1", "p1"),)] == "cutoff"
     assert levels[(("a1", "p2"),)] == "unfair"
+
+
+def test_oracle_max_size_equals_bruteforce(tmp_path, capsys):
+    # random_instance(49) has a larger matching than any cutoff stable one;
+    # the seed-12 reduction has cutoff stable matchings of sizes 1 and 2
+    instances = [gadget(name) for name in GADGET_NAMES]
+    instances += [random_instance(49, max_applicants=6, max_projects=4, max_supervisors=3),
+                  reduce_smti_maxsize(random_smti(12))[0]]
+    path = tmp_path / "inst.json"
+    for inst in instances:
+        path.write_text(inst.to_json())
+        code, report, _ = run_json(capsys, ["oracle", str(path)])
+        size, witnesses = max_cutoff_stable_bruteforce(inst)
+        assert code == EXIT_OK
+        assert report["max_cutoff_stable_size"] == size
+        assert report["max_cutoff_stable_witnesses"] == [
+            [list(pair) for pair in m.sorted_pairs(inst)] for m in witnesses]
 
 
 def test_guard_exit_codes(tmp_path):

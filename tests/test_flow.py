@@ -14,7 +14,6 @@ from cutoffmatch.flow import (
     SipFeasibility,
     build_flow_graph,
     check_feasibility,
-    feasible_counts,
     max_flow,
     min_cut_reachable,
     to_dot,
@@ -88,7 +87,7 @@ def test_sip_feasibility_counts_every_call():
 def test_feasible_counts_matches_check_feasibility():
     inst = gadget("thm7_item3")
     for m in (M(), M(("a1", "p2"), ("a2", "p2")), M(("a1", "p1"), ("a3", "p3"))):
-        assert feasible_counts(inst, m.counts(inst)) == check_feasibility(inst, m)[0]
+        assert SipFeasibility(inst)(m.counts(inst)) == check_feasibility(inst, m)[0]
 
 
 def test_heredity_and_anonymity_random_sweep():
@@ -265,6 +264,6 @@ def test_supervisor_named_like_a_project_stays_a_separate_node():
         projects=["p1", "p2"],
         supervisors=["s2", "p1"],
     )
-    assert not feasible_counts(inst, {"p2": 1})
-    assert feasible_counts(inst, {"p1": 1})
+    assert not SipFeasibility(inst)({"p2": 1})
+    assert SipFeasibility(inst)({"p1": 1})
     assert check_feasibility(inst, M(("a", "p2"))) == (False, None)
