@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from collections import Counter
-from fractions import Fraction
 
 from cutoffmatch import egalitarian, engine, milp, oracle
 from cutoffmatch.flow import build_flow_graph, check_feasibility, max_flow, to_dot
@@ -212,8 +211,8 @@ def cmd_generate(args) -> int:
             n_applicants=n_a,
             n_projects=n_p,
             n_supervisors=n_s,
-            pref_density=Fraction(args.density),
-            budget_range=tuple(args.budgets.split(",")),
+            pref_density=parse_rational(args.density),
+            budget_range=tuple(parse_rational(b) for b in args.budgets.split(",")),
         )
     except ValueError as exc:
         raise InputError(str(exc))

@@ -269,7 +269,7 @@ def to_dot(graph: FlowGraph, flow: Mapping[tuple[str, str], Fraction] | None = N
     for (u, v), cap in sorted(graph.capacity.items()):
         label = f"cap={cap}"
         if flow is not None:
-            label = f"flow={flow.get((u, v), Fraction(0))}/{cap}"
+            label = f"flow={flow.get((u, v), Fraction(0))}, cap={cap}"
         lines.append(f'  "{u}" -> "{v}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,7 +1,9 @@
 """Exact rational linear programming by two-phase simplex with Bland's rule.
 
-Dense tableau over Fractions; no tolerances anywhere.  Decisions such as
-"is this constraint exactly tight" and "is this optimum exactly zero" are
+Dense tableau of Python ints, one positive denominator per row, each row
+kept in lowest terms; Fractions appear only where a program comes in and a
+solution goes out.  No tolerances anywhere.  Decisions such as "is this
+constraint exactly tight" and "is this optimum exactly zero" are
 meaningful, which the egalitarian allocation loop relies on.
 """
 
@@ -9,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 OPTIMAL = "optimal"
@@ -76,6 +79,41 @@ class LpSolution:
         return self.assignment[var]
 
 
+def _pivot(rows: list[list[int]], dens: list[int], r: int, c: int) -> None:
+    """Pivot on entry (r, c) of a tableau whose row i stands for
+    ``rows[i] / dens[i]``: Python ints over one positive denominator, kept
+    in lowest terms.  Rows with a zero in column c are not touched."""
+    q = rows[r]
+    pd = q[c]
+    if pd < 0:
+        q = [-x for x in q]
+        pd = -pd
+    g = gcd(*q)
+    if g > 1:
+        q = [x // g for x in q]
+        pd //= g
+    rows[r] = q
+    dens[r] = pd
+    nonzero = [(j, x) for j, x in enumerate(q) if x]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if not f or i == r:
+            continue
+        # row/den - (f/den)(q/pd) = (row*pd - f*q) / (den*pd), in place
+        den = dens[i]
+        if pd != 1:
+            row = [x * pd for x in row]
+            den *= pd
+            rows[i] = row
+        for j, x in nonzero:
+            row[j] -= f * x
+        g = gcd(*row, den)
+        if g > 1:
+            rows[i] = [x // g for x in row]
+            den //= g
+        dens[i] = den
+
+
 def solve_lp(program: LinearProgram) -> LpSolution:
     """Solve exactly; returns status optimal/infeasible/unbounded.
 
@@ -83,204 +121,162 @@ def solve_lp(program: LinearProgram) -> LpSolution:
     satisfy every constraint exactly (substitute and compare rationals).
     """
     # -- rewrite to: min c.y  s.t.  A y = b, y >= 0 ----------------------
-    # each original variable becomes y (shifted by lower bound) or a pair
-    # y+ - y- when free; upper bounds become extra rows.
-    columns: list[str] = []              # synthetic column names
-    col_of: dict[str, tuple] = {}        # var -> ("shift", col, lb) | ("split", c+, c-)
+    # each original variable becomes a column y (shifted by its lower
+    # bound) or, when free, a pair y+ - y-; upper bounds become extra rows.
+    col_of: dict[str, tuple[int, int, Fraction | None]] = {}  # var -> (col, minus col, lb)
+    ncols = 0
     for v in program.variables:
         lb = program.lower[v]
         if lb is None:
-            cp, cm = f"{v}+", f"{v}-"
-            columns.extend([cp, cm])
-            col_of[v] = ("split", cp, cm)
+            col_of[v] = (ncols, ncols + 1, None)
+            ncols += 2
         else:
-            columns.append(v)
-            col_of[v] = ("shift", v, lb)
+            col_of[v] = (ncols, -1, lb)
+            ncols += 1
 
-    rows: list[tuple[dict[str, Fraction], str, Fraction]] = []
-
-    def to_columns(coeffs: Mapping[str, Fraction], rhs: Fraction) -> tuple[dict[str, Fraction], Fraction]:
-        out: dict[str, Fraction] = {}
+    def to_columns(coeffs: Mapping[str, Fraction], rhs: Fraction) -> tuple[dict[int, Fraction], Fraction]:
+        out: dict[int, Fraction] = {}
         for v, c in coeffs.items():
-            kind = col_of[v]
-            if kind[0] == "shift":
-                _, col, lb = kind
-                out[col] = out.get(col, Fraction(0)) + c
+            col, minus, lb = col_of[v]
+            out[col] = c
+            if minus >= 0:
+                out[minus] = -c
+            elif lb:
                 rhs -= c * lb
-            else:
-                _, cp, cm = kind
-                out[cp] = out.get(cp, Fraction(0)) + c
-                out[cm] = out.get(cm, Fraction(0)) - c
         return out, rhs
 
-    for coeffs, sense, rhs in program.constraints:
-        cols, r = to_columns(coeffs, rhs)
-        rows.append((cols, sense, r))
+    rows = [(*to_columns(coeffs, rhs), sense) for coeffs, sense, rhs in program.constraints]
     for v in program.variables:
         ub = program.upper[v]
         if ub is not None:
-            cols, r = to_columns({v: Fraction(1)}, ub)
-            rows.append((cols, "<=", r))
+            rows.append((*to_columns({v: Fraction(1)}, ub), "<="))
 
-    obj_cols, _ = to_columns(program.objective, Fraction(0))
-    sign = Fraction(-1) if program.maximize else Fraction(1)
-
-    ncols = len(columns)
-    col_index = {c: i for i, c in enumerate(columns)}
-
-    # slack columns, then artificials
-    tableau: list[list[Fraction]] = []
-    basis: list[int] = []
-    slack_count = sum(1 for _, sense, _ in rows if sense != "=")
-    total = ncols + slack_count + len(rows)  # upper bound on columns incl. artificials
+    # columns: structural, one slack per inequality row, then one artificial
+    # per row that has no slack to start the basis with; the rhs comes last
+    slack_count = sum(1 for _, _, sense in rows if sense != "=")
     art_start = ncols + slack_count
-    slack_i = 0
-    art_cols: list[int] = []
+    art_count = sum(1 for _, rhs, sense in rows if sense != "<=" or rhs < 0)
+    width = art_start + art_count + 1
+    tab: list[list[int]] = []
+    dens: list[int] = []
+    basis: list[int] = []
     # per row: the column holding its starting unit entry (so, after any
     # pivots, the matching column of B^-1) and whether the row was negated
     unit_of: list[tuple[int, bool]] = []
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    for coeffs, sense, rhs in rows:
-        row = [zero] * total
-        for c, val in coeffs.items():
-            row[col_index[c]] = val
-        if sense == "<=":
-            row[ncols + slack_i] = one
-            slack_col = ncols + slack_i
-            slack_i += 1
-        elif sense == ">=":
-            row[ncols + slack_i] = -one
-            slack_col = None
-            slack_i += 1
-        else:
-            slack_col = None
-        negated = rhs < 0
+    slack = ncols
+    art = art_start
+    for coeffs, rhs, sense in rows:
+        den = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+        row = [0] * width
+        for j, c in coeffs.items():
+            row[j] = c.numerator * (den // c.denominator)
+        row[-1] = rhs.numerator * (den // rhs.denominator)
+        if sense != "=":
+            row[slack] = den if sense == "<=" else -den
+            slack += 1
+        negated = row[-1] < 0
         if negated:
             row = [-x for x in row]
-            rhs = -rhs
-            if sense == "<=":
-                slack_col = None  # negated slack is -1, not basic-feasible
-        row.append(rhs)
-        if slack_col is not None:
-            basis.append(slack_col)
+        if sense == "<=" and not negated:
+            basis.append(slack - 1)
         else:
-            art = art_start + len(art_cols)
-            row[art] = one
-            art_cols.append(art)
+            row[art] = den
             basis.append(art)
+            art += 1
         unit_of.append((basis[-1], negated))
-        tableau.append(row)
+        tab.append(row)
+        dens.append(den)
+    m = len(tab)
 
-    rhs_col = total
-    basis_set = set(basis)
+    # reduced-cost rows ride along as the last rows of the tableau: phase 2's
+    # costs (the starting basis costs nothing), and during phase 1 its
+    # costs, 1 per artificial, minus the sum of the artificial rows
+    sign = -1 if program.maximize else 1
+    obj_cols, _ = to_columns(program.objective, Fraction(0))
+    den = lcm(*(c.denominator for c in obj_cols.values()))
+    z = [0] * width
+    for j, c in obj_cols.items():
+        z[j] = sign * c.numerator * (den // c.denominator)
+    tab.append(z)
+    dens.append(den)
 
-    def pivot(r: int, c: int) -> None:
-        prow = tableau[r]
-        piv = prow[c]
-        if piv != 1:
-            prow = [x / piv for x in prow]
-            tableau[r] = prow
-        # touch only the nonzero columns of the pivot row
-        nonzero = [j for j, x in enumerate(prow) if x]
-        for i, row in enumerate(tableau):
-            if i != r and row[c]:
-                f = row[c]
-                for j in nonzero:
-                    row[j] -= f * prow[j]
-        basis_set.discard(basis[r])
-        basis_set.add(c)
-        basis[r] = c
-
-    def run_simplex(costs: list[Fraction], allowed: int) -> str:
-        """Minimize costs.y over columns [0, allowed); Bland's rule."""
+    def run_simplex(allowed: int) -> bool:
+        """Minimize the last row's costs over columns [0, allowed) by
+        Bland's rule; False when unbounded."""
+        z = tab[-1]
         while True:
-            # reduced costs: c_j - c_B . B^-1 A_j
-            reduced = list(costs[:allowed])
-            for r, b in enumerate(basis):
-                cb = costs[b]
-                if cb:
-                    row = tableau[r]
-                    for j in range(allowed):
-                        if row[j]:
-                            reduced[j] -= cb * row[j]
-            enter = -1
-            for j in range(allowed):
-                if j not in basis_set and reduced[j] < 0:
-                    enter = j
+            for enter in range(allowed):
+                if z[enter] < 0:
                     break
-            if enter < 0:
-                return OPTIMAL
+            else:
+                return True
+            # min ratio rhs/e over rows with e > 0 (their denominators
+            # cancel), ties to the smallest basic column
             leave = -1
-            best = None
-            for r, row in enumerate(tableau):
-                if row[enter] > 0:
-                    ratio = row[rhs_col] / row[enter]
-                    if best is None or ratio < best or (
-                        ratio == best and basis[r] < basis[leave]
-                    ):
-                        best = ratio
-                        leave = r
+            for r in range(m):
+                row = tab[r]
+                e = row[enter]
+                if e > 0:
+                    b = row[-1]
+                    if leave < 0:
+                        leave, best_b, best_e = r, b, e
+                        continue
+                    new, old = b * best_e, best_b * e
+                    if new < old or (new == old and basis[r] < basis[leave]):
+                        leave, best_b, best_e = r, b, e
             if leave < 0:
-                return UNBOUNDED
-            pivot(leave, enter)
+                return False
+            _pivot(tab, dens, leave, enter)
+            basis[leave] = enter
+            z = tab[-1]
 
-    # phase 1: drive artificials to zero
-    if art_cols:
-        costs1 = [zero] * (total + 1)
-        for a in art_cols:
-            costs1[a] = one
-        run_simplex(costs1, total)
-        infeas = sum(tableau[r][rhs_col] for r, b in enumerate(basis) if b in art_cols)
-        if infeas > 0:
+    if art_count:
+        art_rows = [r for r in range(m) if basis[r] >= art_start]
+        den = lcm(*(dens[r] for r in art_rows))
+        w = [0] * width
+        for r in art_rows:
+            k = den // dens[r]
+            for j, x in enumerate(tab[r]):
+                if x:
+                    w[j] -= k * x
+        for j in range(art_start, width - 1):
+            w[j] += den
+        g = gcd(*w, den)
+        tab.append([x // g for x in w])
+        dens.append(den // g)
+        run_simplex(width - 1)
+        tab.pop()
+        dens.pop()
+        if any(tab[r][-1] for r in range(m) if basis[r] >= art_start):
             return LpSolution(INFEASIBLE)
         # pivot artificials out of the basis where possible
-        for r, b in enumerate(basis):
-            if b in art_cols:
+        for r in range(m):
+            if basis[r] >= art_start:
+                row = tab[r]
                 for j in range(art_start):
-                    if tableau[r][j]:
-                        pivot(r, j)
+                    if row[j]:
+                        _pivot(tab, dens, r, j)
+                        basis[r] = j
                         break
                 # else: redundant row; artificial stays basic at zero
 
-    # phase 2
-    costs2 = [zero] * (total + 1)
-    for c, val in obj_cols.items():
-        costs2[col_index[c]] = sign * val
-    status = run_simplex(costs2, art_start)
-    if status == UNBOUNDED:
+    if not run_simplex(art_start):
         return LpSolution(UNBOUNDED)
 
-    values = [zero] * total
+    values = [Fraction(0)] * ncols
     for r, b in enumerate(basis):
-        values[b] = tableau[r][rhs_col]
+        if b < ncols:
+            values[b] = Fraction(tab[r][-1], dens[r])
     assignment: dict[str, Fraction] = {}
     for v in program.variables:
-        kind = col_of[v]
-        if kind[0] == "shift":
-            _, col, lb = kind
-            assignment[v] = values[col_index[col]] + lb
-        else:
-            _, cp, cm = kind
-            assignment[v] = values[col_index[cp]] - values[col_index[cm]]
-    # assignment is already in original variable space, so the objective is a
-    # plain substitution; no lower-bound shift correction applies here
-    obj = sum(
-        (program.objective.get(v, zero) * assignment[v] for v in program.variables),
-        zero,
-    )
-    # y = c_B . B^-1, then undo the row negation and the min/max sign
-    units = unit_of[:len(program.constraints)]
-    duals = [zero] * len(units)
-    for r, b in enumerate(basis):
-        cb = costs2[b]
-        if cb:
-            row = tableau[r]
-            for i, (col, _) in enumerate(units):
-                if row[col]:
-                    duals[i] += cb * row[col]
-    duals = [-y * sign if negated else y * sign for y, (_, negated) in zip(duals, units)]
+        col, minus, lb = col_of[v]
+        assignment[v] = values[col] - values[minus] if minus >= 0 else values[col] + lb
+    obj = sum((c * assignment[v] for v, c in program.objective.items()), Fraction(0))
+    # y_i = c_B B^-1 e_i is minus the reduced cost of row i's unit column;
+    # then undo the row negation and the min/max sign
+    z, dz = tab[m], dens[m]
+    duals = [Fraction(z[col] * (sign if negated else -sign), dz)
+             for col, negated in unit_of[:len(program.constraints)]]
     return LpSolution(OPTIMAL, assignment, obj, duals)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -165,15 +166,30 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# Fraction("1e1000000") builds 10**1000000 exactly: nine characters of input
+# for a million digits, which every later operation then carries
+_MAX_EXPONENT = 100
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
 def parse_rational(raw) -> Fraction:
-    """Parse "num/den", decimal strings, or ints exactly (no float round-trip)."""
+    """Parse "num/den", decimal strings, or ints exactly (no float round-trip).
+
+    A decimal exponent beyond ±100 is rejected before any number is built.
+    """
     if isinstance(raw, bool):
         raise ValueError(f"budget {raw!r} must be a string or integer, not a boolean")
     if isinstance(raw, int):
         return Fraction(raw)
     if isinstance(raw, float):
         raise ValueError(f"budget {raw!r} must be a string or integer, not a float")
-    return Fraction(str(raw))
+    text = str(raw)
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+            raise ValueError(f"{text!r}: decimal exponent beyond ±{_MAX_EXPONENT}")
+    return Fraction(text)
 
 
 _ARRAY = (list, tuple)

@@ -244,6 +244,27 @@ def test_allocate_rejects_bad_targets(tmp_path, capsys, records, message):
     assert captured.err == f"error: {t}: {message}\n"
 
 
+@pytest.mark.parametrize("value", ["1e1000000", "-1E-10000000", "2.5e+1_000_000"])
+def test_huge_decimal_exponent_exits_2(tmp_path, capsys, value):
+    # each would build a number of millions of digits before any other check
+    inst = tmp_path / "ex1.json"
+    main(["gadget", "example1", "--out", str(inst)])
+    raw = json.loads(inst.read_text())
+    raw["supervisors"][0]["budget"] = value
+    bad = write_json(tmp_path, "bad.json", raw)
+    m = write_json(tmp_path, "m.json", [["a1", "p2"]])
+    t = write_json(tmp_path, "t.json", [{**EX1_TARGETS[0], "target": value}] + EX1_TARGETS[1:])
+    capsys.readouterr()
+    for argv in (["solve", str(bad)], ["allocate", str(inst), str(m), "--targets", str(t)],
+                 ["generate", "--seed", "1", f"--density={value}"],
+                 ["generate", "--seed", "1", f"--budgets=0,{value}"]):
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert f"{value!r}: decimal exponent beyond ±100" in captured.err
+
+
 def test_allocate_infeasible_matching_with_targets(tmp_path, capsys):
     inst = tmp_path / "ex1.json"
     main(["gadget", "example1", "--out", str(inst)])

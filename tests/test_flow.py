@@ -4,6 +4,7 @@ integrality)."""
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 from conftest import M, random_instance, random_matching
@@ -141,6 +142,28 @@ def test_to_dot_lists_every_arc():
     dot = to_dot(graph)
     assert dot.startswith("digraph funding {")
     assert dot.count("->") == len(graph.capacity)
+
+
+def test_to_dot_flow_and_capacity_parse_back():
+    # fractional budgets: "flow=0/7/10" could not say which slash divides
+    inst = make_instance(
+        applicants=["a1"],
+        applicant_prefs={"a1": ["p"]},
+        project_prefs={"p": ["a1"], "q": []},
+        capacities={"p": 1, "q": 1},
+        supervised={"s1": ["p"], "s2": ["p"], "s3": ["q"]},
+        budgets={"s1": "3/4", "s2": "3/4", "s3": "7/10"},
+    )
+    graph = build_flow_graph(inst, {"p": 1})
+    _, flow = max_flow(graph)
+    labels = re.findall(r'"([^"]+)" -> "([^"]+)" \[label="flow=([^,"]+), cap=([^,"]+)"\]',
+                        to_dot(graph, flow))
+    assert len(labels) == len(graph.capacity)
+    values = {(u, v): (Fraction(f), Fraction(c)) for u, v, f, c in labels}
+    assert values == {arc: (flow.get(arc, Fraction(0)), cap)
+                      for arc, cap in graph.capacity.items()}
+    assert (Fraction(0), Fraction(7, 10)) in values.values()
+    assert any(f.denominator > 1 and c.denominator > 1 for f, c in values.values())
 
 
 # -- the integer kernel against Gale's supply-demand condition ------------

@@ -111,6 +111,17 @@ def test_free_variable():
     assert_dual_certificate(lp, sol)
 
 
+def test_free_variable_beside_one_named_like_its_split():
+    # x is split into a positive and a negative part; a variable named "x+"
+    # must still get a column of its own
+    lp = LinearProgram(maximize=True)
+    lp.add_variable("x", lower=None, upper=Fraction(10), objective=1)
+    lp.add_variable("x+", upper=Fraction(5), objective=-1)
+    sol = solve_lp(lp)
+    assert sol.assignment == {"x": Fraction(10), "x+": Fraction(0)}
+    assert sol.objective == 10
+
+
 def test_shifted_lower_and_upper_bounds():
     lp = LinearProgram(maximize=True)
     lp.add_variable("x", lower=Fraction(2), upper=Fraction(7), objective=1)

@@ -96,6 +96,20 @@ def test_random_sweep_matches_oracle():
         assert len(matching) == max_cutoff_stable_bruteforce(inst)[0], seed
 
 
+# nodes explored per seed on the acceptance test's c07 shape; the simplex
+# must return the same vertex for every LP, or branch and bound strays
+C07_NODES = [29, 3, 1, 7, 17, 9, 11, 19, 5, 31, 31, 17, 27, 37, 1, 3, 7, 23, 9, 53]
+
+
+def test_branch_and_bound_path_is_pinned():
+    nodes = []
+    for seed in range(20):
+        inst = random_instance(seed, max_applicants=7, max_projects=3,
+                               max_supervisors=2, density="3/5")
+        nodes.append(solve_max_cutoff_stable(inst, verify=False)[3])
+    assert nodes == C07_NODES
+
+
 def test_export_lp_file(tmp_path):
     model = build_model(gadget("example2_unsolvable"))
     path = tmp_path / "model.lp"
