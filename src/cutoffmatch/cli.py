@@ -165,7 +165,8 @@ def _load_targets(path: str, instance: Instance, strict: bool) -> egalitarian.Ta
     raw = _load_json(path)
     try:
         targets = egalitarian.TargetProfile({
-            (entry["supervisor"], entry["project"]): parse_rational(entry["target"])
+            (entry["supervisor"], entry["project"]): parse_rational(
+                entry["target"], f"target for ({entry['supervisor']}, {entry['project']})")
             for entry in raw
         })
         targets.validate(instance, strict=strict)
@@ -211,8 +212,8 @@ def cmd_generate(args) -> int:
             n_applicants=n_a,
             n_projects=n_p,
             n_supervisors=n_s,
-            pref_density=parse_rational(args.density),
-            budget_range=tuple(parse_rational(b) for b in args.budgets.split(",")),
+            pref_density=parse_rational(args.density, "--density"),
+            budget_range=tuple(parse_rational(b, "--budgets") for b in args.budgets.split(",")),
         )
     except ValueError as exc:
         raise InputError(str(exc))

@@ -8,8 +8,7 @@ and the matching is cutoff stable.
 
 Decrementing one cutoff admits at most one new applicant (the one whose
 score equals the new cutoff), so each candidate is evaluated by a single
-swap rather than re-inducing from scratch; a debug flag re-induces and
-cross-checks.
+swap rather than re-inducing from scratch.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import Callable, Mapping
 
 from cutoffmatch.flow import SipFeasibility
 from cutoffmatch.model import Instance
-from cutoffmatch.stability import CutoffVector, Matching, induce
+from cutoffmatch.stability import CutoffVector, Matching
 
 
 @dataclass
@@ -55,7 +54,6 @@ def solve(
     instance: Instance,
     feasibility: Callable[[Mapping[str, int]], bool] | None = None,
     project_order: tuple[str, ...] | None = None,
-    debug_reinduce: bool = False,
 ) -> tuple[Matching, CutoffVector, EngineTrace]:
     """Run the cutoff-decreasing algorithm.
 
@@ -130,10 +128,6 @@ def solve(
                 trace.entries.append(
                     TraceEntry(p, cutoffs[p], len(matched), calls)
                 )
-                if debug_reinduce:
-                    reinduced = induce(instance, CutoffVector(dict(cutoffs)))
-                    if reinduced.pairs != frozenset(matched.items()):
-                        raise RuntimeError("incremental update diverged from re-induction")
                 progressed = True
                 break  # restart the scan from the front
 

@@ -172,24 +172,28 @@ _MAX_EXPONENT = 100
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
-def parse_rational(raw) -> Fraction:
+def parse_rational(raw, field: str = "value") -> Fraction:
     """Parse "num/den", decimal strings, or ints exactly (no float round-trip).
 
     A decimal exponent beyond ±100 is rejected before any number is built.
+    Error messages name ``field``, the input the value was read from.
     """
     if isinstance(raw, bool):
-        raise ValueError(f"budget {raw!r} must be a string or integer, not a boolean")
+        raise ValueError(f"{field} {raw!r} must be a string or integer, not a boolean")
     if isinstance(raw, int):
         return Fraction(raw)
     if isinstance(raw, float):
-        raise ValueError(f"budget {raw!r} must be a string or integer, not a float")
+        raise ValueError(f"{field} {raw!r} must be a string or integer, not a float")
     text = str(raw)
     exponent = _EXPONENT.search(text)
     if exponent:
         digits = exponent.group(1).replace("_", "").lstrip("0")
         if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
-            raise ValueError(f"{text!r}: decimal exponent beyond ±{_MAX_EXPONENT}")
-    return Fraction(text)
+            raise ValueError(f"{field} {text!r}: decimal exponent beyond ±{_MAX_EXPONENT}")
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise ValueError(f"{field} {text!r} is not a rational number") from None
 
 
 _ARRAY = (list, tuple)
@@ -305,7 +309,7 @@ def validate_instance(raw: Mapping) -> Instance:
     for rec in supervisor_records:
         s = rec["id"]
         try:
-            q = parse_rational(rec.get("budget", 0))
+            q = parse_rational(rec.get("budget", 0), "budget")
         except (ValueError, ZeroDivisionError) as exc:
             violations.append((s, "bad-budget", str(exc)))
             q = Fraction(0)

@@ -40,40 +40,62 @@ def _check_guard(instance: Instance, guard: int | None) -> None:
         )
 
 
-def enumerate_matchings(instance: Instance, guard: int | None = None) -> Iterator[Matching]:
-    """Every valid feasible matching, exactly once, in deterministic order.
+def enumerate_matchings(instance: Instance, guard: int | None = None,
+                        feas: SipFeasibility | None = None,
+                        fair_only: bool = False) -> Iterator[Matching]:
+    """Every valid feasible matching (every fair one, with ``fair_only``),
+    exactly once, in deterministic order.
 
     Recursive applicant-by-applicant assignment (unmatched first, then the
     applicant's preference order) with capacity pruning; budget feasibility
-    filtered at the leaves through a shared memoized feasibility function.
+    filtered at the leaves through ``feas``, the caller's memoized
+    feasibility function (a fresh one by default).
+
+    With ``fair_only`` the walk skips the unfair matchings and keeps the
+    order of the rest: justified envy between two placed applicants never
+    changes as later applicants are placed, so a placement that creates
+    envy with an earlier applicant, in either direction, is rejected at
+    once.
     """
     _check_guard(instance, guard)
-    feas = SipFeasibility(instance)
+    feas = feas or SipFeasibility(instance)
     applicants = instance.applicants
     counts = {p: 0 for p in instance.projects}
-    chosen: list[tuple[str, str]] = []
+    placed: list[tuple[str, str | None]] = []  # (applicant, project or None if unmatched)
 
-    def options(a: str) -> list[str]:
-        return [
+    def options(a: str) -> list[str | None]:
+        return [None] + [
             p for p in instance.applicant_prefs[a]
             if instance.score(a, p) is not None
         ]
 
+    def envies(a: str, q: str | None, b: str, p: str | None) -> bool:
+        """``a``, placed at ``q``, prefers ``b``'s project ``p``, which
+        ranks ``a`` above ``b``."""
+        return (p is not None and instance.prefers(a, p, q)
+                and instance.project_prefers(p, a, b))
+
+    def creates_envy(a: str, q: str | None) -> bool:
+        return any(envies(a, q, b, p) or envies(b, p, a, q) for b, p in placed)
+
     def rec(i: int) -> Iterator[Matching]:
         if i == len(applicants):
             if feas(counts):
-                yield Matching(frozenset(chosen))
+                yield Matching(frozenset((a, q) for a, q in placed if q is not None))
             return
         a = applicants[i]
-        yield from rec(i + 1)  # a unmatched
-        for p in options(a):
-            if counts[p] + 1 > instance.capacities[p]:
+        for q in options(a):
+            if q is not None and counts[q] + 1 > instance.capacities[q]:
                 continue
-            counts[p] += 1
-            chosen.append((a, p))
+            if fair_only and creates_envy(a, q):
+                continue
+            if q is not None:
+                counts[q] += 1
+            placed.append((a, q))
             yield from rec(i + 1)
-            chosen.pop()
-            counts[p] -= 1
+            placed.pop()
+            if q is not None:
+                counts[q] -= 1
 
     return rec(0)
 
@@ -83,7 +105,7 @@ def classify_all(instance: Instance, guard: int | None = None) -> dict[Matching,
     feas = SipFeasibility(instance)
     return {
         m: check_stability(instance, m, feas)
-        for m in enumerate_matchings(instance, guard)
+        for m in enumerate_matchings(instance, guard, feas)
     }
 
 
@@ -98,11 +120,15 @@ def stable_sets(instance: Instance, guard: int | None = None) -> dict[str, list[
     return out
 
 
+# Strong and cutoff stability both imply fairness, so the searches below
+# walk only the fair matchings.
+
+
 def exists_strongly_stable(instance: Instance, guard: int | None = None) -> bool:
     feas = SipFeasibility(instance)
     return any(
         check_stability(instance, m, feas).level == "strong"
-        for m in enumerate_matchings(instance, guard)
+        for m in enumerate_matchings(instance, guard, feas, fair_only=True)
     )
 
 
@@ -113,7 +139,7 @@ def max_cutoff_stable_bruteforce(
     feas = SipFeasibility(instance)
     best = 0
     witnesses: list[Matching] = []
-    for m in enumerate_matchings(instance, guard):
+    for m in enumerate_matchings(instance, guard, feas, fair_only=True):
         if not check_stability(instance, m, feas).at_least("cutoff"):
             continue
         if len(m) > best:

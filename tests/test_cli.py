@@ -244,6 +244,31 @@ def test_allocate_rejects_bad_targets(tmp_path, capsys, records, message):
     assert captured.err == f"error: {t}: {message}\n"
 
 
+@pytest.mark.parametrize("target, message", [
+    (True, "target for (s1, p1) True must be a string or integer, not a boolean"),
+    (0.5, "target for (s1, p1) 0.5 must be a string or integer, not a float"),
+    ("half", "target for (s1, p1) 'half' is not a rational number"),
+])
+def test_bad_target_value_names_the_target(tmp_path, capsys, target, message):
+    inst = tmp_path / "ex1.json"
+    main(["gadget", "example1", "--out", str(inst)])
+    m = write_json(tmp_path, "m.json", [["a1", "p2"]])
+    t = write_json(tmp_path, "t.json", [{**EX1_TARGETS[0], "target": target}] + EX1_TARGETS[1:])
+    capsys.readouterr()
+    assert main(["allocate", str(inst), str(m), "--targets", str(t)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {t}: {message}\n"
+
+
+@pytest.mark.parametrize("flag", ["--density", "--budgets"])
+def test_bad_generate_number_names_the_flag(capsys, flag):
+    assert main(["generate", "--seed", "1", f"{flag}=half"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} 'half' is not a rational number\n"
+
+
 @pytest.mark.parametrize("value", ["1e1000000", "-1E-10000000", "2.5e+1_000_000"])
 def test_huge_decimal_exponent_exits_2(tmp_path, capsys, value):
     # each would build a number of millions of digits before any other check

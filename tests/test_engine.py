@@ -96,12 +96,21 @@ def test_feasibility_call_budget():
         assert trace.feasibility_calls <= bound
 
 
-def test_debug_reinduce_agrees_with_incremental_updates():
+def test_reinduced_cutoffs_agree_with_incremental_updates():
+    # replay the trace: after every applied decrement the cutoffs so far
+    # induce a matching of the traced size, and the final ones induce the
+    # returned matching
     for name in GADGET_NAMES:
         inst = gadget(name)
-        fast = solve(inst)
-        slow = solve(inst, debug_reinduce=True)
-        assert fast[0] == slow[0] and fast[1] == slow[1]
+        for order in (inst.projects, inst.projects[::-1]):
+            matching, cutoffs, trace = solve(inst, project_order=order)
+            replay = {p: inst.max_cutoff() for p in inst.projects}
+            for entry in trace.entries:
+                replay[entry.project] = entry.new_cutoff
+                induced = induce(inst, CutoffVector(dict(replay)))
+                assert len(induced) == entry.matching_size, (name, entry)
+            assert replay == dict(cutoffs.cutoffs), name
+            assert induce(inst, cutoffs) == matching, name
 
 
 def test_custom_feasibility_function():

@@ -3,7 +3,10 @@
 import pytest
 
 from conftest import M, pair_sets, random_smti
+from test_acceptance import TWO_TIE_CASES
+from test_stability import SMALL_SWEEP
 
+from cutoffmatch import flow, oracle
 from cutoffmatch.oracle import (
     DEFAULT_GUARD,
     GuardExceeded,
@@ -17,8 +20,8 @@ from cutoffmatch.oracle import (
     smti_weakly_stable_bruteforce,
     stable_sets,
 )
-from cutoffmatch.model import gadget, generate_random
-from cutoffmatch.stability import check_stability
+from cutoffmatch.model import GADGET_NAMES, gadget, generate_random
+from cutoffmatch.stability import check_stability, is_fair
 
 
 def test_enumeration_example2():
@@ -94,6 +97,84 @@ def test_guard_env_override(monkeypatch):
     monkeypatch.setenv("CUTOFFMATCH_GUARD", "2")
     with pytest.raises(GuardExceeded):
         list(enumerate_matchings(inst))
+
+
+def test_guard_raises_when_the_fair_walk_is_called():
+    inst = generate_random(0, DEFAULT_GUARD + 1, 3, 2)
+    with pytest.raises(GuardExceeded):
+        enumerate_matchings(inst, fair_only=True)  # never iterated
+    with pytest.raises(GuardExceeded):
+        exists_strongly_stable(inst)
+    with pytest.raises(GuardExceeded):
+        max_cutoff_stable_bruteforce(inst)
+
+
+# -- the fair walk --------------------------------------------------------
+
+C08_REDUCED = [reduce_smti_strong(random_smti(seed, max_men=3, max_ties=1, balanced=True))
+               for seed in range(50)]
+C09_REDUCED = [reduce_smti_maxsize(smti)[0]
+               for smti in [random_smti(seed, max_men=3, max_ties=3) for seed in range(50)]
+               + TWO_TIE_CASES]
+# the two c08 reductions of TWO_TIE_CASES (11 and 12 applicants, 203,004
+# matchings) are left out: filtering them through is_fair takes seconds
+WALK_CASES = [gadget(name) for name in GADGET_NAMES] + SMALL_SWEEP + C08_REDUCED + C09_REDUCED
+
+
+def test_fair_walk_equals_filtered_enumeration():
+    fair_total = total = 0
+    for i, inst in enumerate(WALK_CASES):
+        guard = len(inst.applicants)
+        every = list(enumerate_matchings(inst, guard))
+        fair = list(enumerate_matchings(inst, guard, fair_only=True))
+        assert fair == [m for m in every if is_fair(inst, m)[0]], i
+        fair_total += len(fair)
+        total += len(every)
+    assert 0 < fair_total < total // 10  # the walk prunes, and keeps something
+
+
+def test_searches_equal_answers_from_classify_all():
+    for i, inst in enumerate(WALK_CASES):
+        guard = len(inst.applicants)
+        table = classify_all(inst, guard)
+        cutoff = [m for m, verdict in table.items() if verdict.at_least("cutoff")]
+        best = max((len(m) for m in cutoff), default=0)
+        assert exists_strongly_stable(inst, guard) == any(
+            verdict.level == "strong" for verdict in table.values()), i
+        assert max_cutoff_stable_bruteforce(inst, guard) == (
+            best, [m for m in cutoff if len(m) == best]), i
+
+
+def test_searches_check_only_fair_matchings(monkeypatch):
+    levels = []
+
+    def recording_check(instance, matching, feas=None):
+        verdict = check_stability(instance, matching, feas)
+        levels.append(verdict.level)
+        return verdict
+
+    monkeypatch.setattr(oracle, "check_stability", recording_check)
+    for inst in C08_REDUCED[:10] + C09_REDUCED[:10] + SMALL_SWEEP:
+        exists_strongly_stable(inst, len(inst.applicants))
+        max_cutoff_stable_bruteforce(inst, len(inst.applicants))
+    assert levels and "unfair" not in levels and "infeasible" not in levels
+
+
+def test_each_count_vector_is_max_flowed_once_per_call(monkeypatch):
+    solved = []
+    inner = flow.max_flow
+
+    def recording_max_flow(graph):
+        solved.append(tuple(graph.scaled))
+        return inner(graph)
+
+    monkeypatch.setattr(flow, "max_flow", recording_max_flow)
+    cases = [gadget(name) for name in GADGET_NAMES] + SMALL_SWEEP
+    for inst in cases + C08_REDUCED[:10] + C09_REDUCED[:10]:
+        for search in (max_cutoff_stable_bruteforce, exists_strongly_stable, classify_all):
+            solved.clear()
+            search(inst, len(inst.applicants))
+            assert len(solved) == len(set(solved)), (search.__name__, inst.applicants)
 
 
 # -- restricted SMTI ------------------------------------------------------
