@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from pathlib import Path
 
 from cutoffmatch import egalitarian, engine, milp, oracle
 from cutoffmatch.flow import build_flow_graph, check_feasibility, max_flow, to_dot
@@ -38,12 +39,27 @@ class InputError(Exception):
 
 def _load_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"{path}: no such file")
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}")
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply")
+
+
+def _write_file(path: str, write) -> None:
+    """Run ``write(path)``, reporting a file the system refuses as an
+    input error."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise InputError(f"{path}: cannot write: {exc.strerror}")
 
 
 def _load_instance(path: str) -> Instance:
@@ -100,8 +116,7 @@ def cmd_check(args) -> int:
         # a project the instance lacks has no node, so its pairs drop out
         graph = build_flow_graph(instance, Counter(p for _, p in matching.pairs))
         _, flow = max_flow(graph)
-        with open(args.dot, "w") as fh:
-            fh.write(to_dot(graph, flow))
+        _write_file(args.dot, lambda path: Path(path).write_text(to_dot(graph, flow)))
     _emit(report, args.format)
     return EXIT_OK if feasible else EXIT_NEGATIVE
 
@@ -132,6 +147,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    if args.node_limit is not None and args.node_limit < 0:
+        raise InputError(f"--node-limit must be non-negative, not {args.node_limit}")
     instance = _load_instance(args.instance)
     limit = oracle.size_guard(args.guard)
     if len(instance.applicants) > limit:
@@ -141,7 +158,8 @@ def cmd_optimize(args) -> int:
         )
         return EXIT_GUARD
     if args.export_lp:
-        milp.export_lp_file(milp.build_model(instance), args.export_lp)
+        model = milp.build_model(instance)
+        _write_file(args.export_lp, lambda path: milp.export_lp_file(model, path))
     try:
         matching, cutoffs, objective, nodes = milp.solve_max_cutoff_stable(
             instance, node_limit=args.node_limit
@@ -207,13 +225,20 @@ def cmd_generate(args) -> int:
     except ValueError:
         raise InputError("--sizes must be three comma-separated integers")
     try:
+        density = parse_rational(args.density, "--density")
+        budgets = tuple(parse_rational(b, "--budgets") for b in args.budgets.split(","))
+        if len(budgets) != 2:
+            raise ValueError(f"--budgets {args.budgets!r} must be two comma-separated "
+                             "rationals lo,hi")
+        if budgets[0] > budgets[1]:
+            raise ValueError(f"--budgets {args.budgets!r}: lo exceeds hi")
         instance = generate_random(
             seed=args.seed,
             n_applicants=n_a,
             n_projects=n_p,
             n_supervisors=n_s,
-            pref_density=parse_rational(args.density, "--density"),
-            budget_range=tuple(parse_rational(b, "--budgets") for b in args.budgets.split(",")),
+            pref_density=density,
+            budget_range=budgets,
         )
     except ValueError as exc:
         raise InputError(str(exc))
@@ -235,8 +260,7 @@ def cmd_gadget(args) -> int:
 def _write_instance(instance: Instance, out: str | None) -> None:
     text = instance.to_json()
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write_file(out, lambda path: Path(path).write_text(text))
     else:
         sys.stdout.write(text)
 

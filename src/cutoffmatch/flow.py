@@ -15,6 +15,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 
 from cutoffmatch.model import Instance
 
@@ -42,10 +43,14 @@ class FundingNetwork:
         total = int(sum(instance.budgets.values(), Fraction(0)) * self.scale)
         arcs: list[tuple[int, int]] = []
         capacity: list[int] = []
+        # per project, its (s -> p, source -> s) arc pairs in arc order
+        self.feeders: list[list[tuple[int, int]]] = [[] for _ in instance.projects]
         for i, s in enumerate(instance.supervisors, start=1):
+            budget_arc = len(arcs)
             arcs.append((0, i))
             capacity.append(int(instance.budgets[s] * self.scale))
             for p in instance.supervised[s]:
+                self.feeders[project[p] - first_project].append((len(arcs), budget_arc))
                 arcs.append((i, project[p]))
                 capacity.append(total)
         self.first_sink_arc = len(arcs)
@@ -74,15 +79,25 @@ class FundingNetwork:
         capacity[self.first_sink_arc:] = [c * self.scale for c in counts]
         return capacity
 
-    def max_flow(self, capacity: list[int]) -> tuple[int, list[int]]:
-        """Edmonds-Karp: augment along shortest residual paths until none
-        is left.  Returns the flow value and the per-arc flows."""
+    def max_flow(self, capacity: list[int],
+                 start: list[int] | None = None) -> tuple[int, list[int]]:
+        """Edmonds-Karp: augment along shortest residual paths, from zero
+        flow or from the per-arc flow ``start`` (which must fit
+        ``capacity``), until none is left or every sink arc is full.
+        Returns the flow value and the per-arc flows."""
         adjacency, tail = self.adjacency, self.tail
         sink = len(adjacency) - 1
         residual = [0] * (2 * len(capacity))
-        residual[::2] = capacity
-        value = 0
-        while True:
+        if start is None:
+            residual[::2] = capacity
+            value = 0
+        else:
+            residual[::2] = [c - f for c, f in zip(capacity, start)]
+            residual[1::2] = start
+            value = sum(start[self.first_sink_arc:])
+        # with every sink arc saturated no augmenting path can exist
+        full = sum(capacity[self.first_sink_arc:])
+        while value < full:
             via: list[int | None] = [None] * len(adjacency)  # edge reaching each node
             via[0] = -1
             queue = [0]
@@ -94,7 +109,7 @@ class FundingNetwork:
                 if via[sink] is not None:
                     break
             else:
-                return value, residual[1::2]
+                break
             path = []
             v = sink
             while v:
@@ -106,29 +121,46 @@ class FundingNetwork:
                 residual[e] -= bottleneck
                 residual[e ^ 1] += bottleneck
             value += bottleneck
+        return value, residual[1::2]
 
-    def reachable(self, residual) -> set[int]:
-        """Nodes reachable from the source along edges of positive residual
-        capacity."""
+    def reachable(self, capacity: list[int], flow: list[int]) -> set[int]:
+        """Source side of a flow's residual graph: the nodes reachable from
+        the source along edges of positive residual capacity.  For a
+        maximum flow this is the source side of a minimum cut."""
         seen = {0}
         queue = [0]
         for u in queue:
             for v, e in self.adjacency[u]:
-                if v not in seen and residual[e] > 0:
+                a = e >> 1
+                left = flow[a] if e & 1 else capacity[a] - flow[a]
+                if v not in seen and left > 0:
                     seen.add(v)
                     queue.append(v)
         return seen
+
+    def gale_cut(self, capacity: list[int], flow: list[int]) -> tuple[tuple[int, ...], int]:
+        """Gale's certificate read off a maximum flow's minimum cut: the
+        positions Q of the projects beyond the cut and the budget of the
+        supervisors beyond it, rounded down.  The supervisors of Q lie
+        beyond the cut, so a count vector c with sum(c[Q]) > bound demands
+        more than N(Q) can fund and is infeasible (Gale 1957)."""
+        reach = self.reachable(capacity, flow)
+        projects = tuple(j for j, (p, _) in enumerate(self.arcs[self.first_sink_arc:])
+                         if p not in reach)
+        supply = sum(capacity[a] for a, (u, v) in enumerate(self.arcs)
+                     if u == 0 and v not in reach)
+        return projects, supply // self.scale
 
 
 class ArcValues(Mapping):
     """Read-only (tail, head) -> Fraction view of scaled per-arc ints."""
 
-    def __init__(self, network: FundingNetwork, values: list[int]):
+    def __init__(self, network: FundingNetwork, scaled: list[int]):
         self._network = network
-        self._values = values
+        self.scaled = scaled  # per-arc values in units of 1/network.scale
 
     def __getitem__(self, arc: tuple[str, str]) -> Fraction:
-        return Fraction(self._values[self._network.arc_index[arc]], self._network.scale)
+        return Fraction(self.scaled[self._network.arc_index[arc]], self._network.scale)
 
     def __iter__(self):
         return iter(self._network.arc_index)
@@ -139,10 +171,12 @@ class ArcValues(Mapping):
 
 @dataclass
 class FlowGraph:
-    """One count vector on an instance's funding network."""
+    """One count vector on an instance's funding network, with an optional
+    per-arc flow that fits it for the max-flow to start from."""
 
     network: FundingNetwork
     scaled: list[int]  # arc capacities in units of 1/network.scale
+    start: list[int] | None = None  # per-arc flow, same units; None is zero flow
 
     @property
     def capacity(self) -> ArcValues:
@@ -163,18 +197,15 @@ def max_flow(graph: FlowGraph) -> tuple[Fraction, ArcValues]:
     works in integer units of 1/L, and only the results are divided by L.
     """
     network = graph.network
-    value, flow = network.max_flow(graph.scaled)
+    value, flow = network.max_flow(graph.scaled, graph.start)
     return Fraction(value, network.scale), ArcValues(network, flow)
 
 
 def min_cut_reachable(graph: FlowGraph, flow: Mapping[tuple[str, str], Fraction]) -> set[str]:
     """Source side of a saturated cut certifying flow maximality."""
     network, names = graph.network, graph.network.names
-    residual = []
-    for (u, v), cap in zip(network.arcs, graph.scaled):
-        f = flow.get((names[u], names[v]), 0) * network.scale
-        residual += [cap - f, f]
-    return {names[v] for v in network.reachable(residual)}
+    scaled = [flow.get((names[u], names[v]), 0) * network.scale for u, v in network.arcs]
+    return {names[v] for v in network.reachable(graph.scaled, scaled)}
 
 
 def _key(instance: Instance, counts: Mapping[str, int]) -> tuple[int, ...]:
@@ -191,6 +222,14 @@ class SipFeasibility:
     Verdicts are memoized; ``calls`` counts every query including cache
     hits, so complexity assertions stay honest.  The funding network is
     built on the first cache miss.
+
+    A miss is first screened against the Gale cuts of earlier infeasible
+    vectors: a cut whose projects now demand more than its bound answers
+    "infeasible" with one sum.  The last feasible vector meets every cut,
+    so only cuts holding a project whose count rose above it can fire,
+    and only those are summed.  Otherwise the max-flow starts from the
+    last feasible vector's flow, cut down where counts fell.  Any maximum
+    flow decides feasibility, so verdicts do not depend on the start.
     """
 
     def __init__(self, instance: Instance):
@@ -198,19 +237,67 @@ class SipFeasibility:
         self.calls = 0
         self._cache: dict[tuple[int, ...], bool] = {}
         self._network: FundingNetwork | None = None
+        projects = instance.projects
+        # counts in project order; a partial mapping raises KeyError
+        self._counts_of = (itemgetter(*projects) if len(projects) > 1
+                           else lambda counts: tuple([counts[p] for p in projects]))
+        # Gale cuts (project positions, bound), listed under each position
+        self._cuts: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in projects]
+        # the last feasible vector and its per-arc flow; None is zero flow
+        self._last_key: tuple[int, ...] = (0,) * len(projects)
+        self._last_flow: list[int] | None = None
 
     def __call__(self, counts: Mapping[str, int]) -> bool:
         self.calls += 1
-        key = _key(self.instance, counts)
+        try:
+            key = self._counts_of(counts)
+        except KeyError:
+            key = _key(self.instance, counts)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        if self._network is None:
-            self._network = FundingNetwork(self.instance)
-        value, _ = max_flow(FlowGraph(self._network, self._network.with_counts(key)))
+        for j, (was, now) in enumerate(zip(self._last_key, key)):
+            if now > was:
+                for projects, bound in self._cuts[j]:
+                    if sum([key[i] for i in projects]) > bound:
+                        self._cache[key] = False
+                        return False
+        network = self._network
+        if network is None:
+            network = self._network = FundingNetwork(self.instance)
+        capacity = network.with_counts(key)
+        value, flow = max_flow(FlowGraph(network, capacity, self._warm_start(key)))
         ok = value == sum(key)
+        if ok:
+            self._last_key, self._last_flow = key, flow.scaled
+        else:
+            cut = network.gale_cut(capacity, flow.scaled)
+            for j in cut[0]:
+                self._cuts[j].append(cut)
         self._cache[key] = ok
         return ok
+
+    def _warm_start(self, key: tuple[int, ...]) -> list[int] | None:
+        """A flow that fits ``key``: the last feasible vector's flow, with
+        the excess of each project whose count fell taken off its sink arc
+        and, in arc order, off its supervisor arcs and their budget arcs."""
+        if self._last_flow is None:
+            return None  # zero flow fits every count vector
+        network = self._network
+        start = self._last_flow[:]
+        for j, (was, now) in enumerate(zip(self._last_key, key)):
+            if now >= was:
+                continue
+            excess = (was - now) * network.scale
+            start[network.first_sink_arc + j] -= excess
+            for via, budget in network.feeders[j]:
+                take = min(excess, start[via])
+                start[via] -= take
+                start[budget] -= take
+                excess -= take
+                if not excess:
+                    break
+        return start
 
 
 def check_feasibility(

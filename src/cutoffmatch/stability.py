@@ -121,34 +121,6 @@ def matching_feasible(instance: Instance, matching: Matching,
     return matching.is_valid(instance) and feas(matching.counts(instance))
 
 
-def augment_feasible(instance: Instance, matching: Matching, applicant: str,
-                     project: str, feas: SipFeasibility) -> bool:
-    """Feasibility of M + (a,p) with a keeping her old contract.
-
-    The applicant may briefly hold two contracts, so only the count vector
-    and the target project's capacity/acceptability matter.
-    """
-    if not instance.mutually_acceptable(applicant, project):
-        return False
-    counts = matching.counts(instance)
-    if counts[project] + 1 > instance.capacities[project]:
-        return False
-    counts[project] += 1
-    return feas(counts)
-
-
-def swap_feasible(instance: Instance, matching: Matching, applicant: str,
-                  project: str, feas: SipFeasibility) -> bool:
-    """Feasibility of (M + (a,p)) - (a, M(a)): a moves to p."""
-    old = matching.project_of(applicant)
-    pairs = set(matching.pairs)
-    if old is not None:
-        pairs.discard((applicant, old))
-    pairs.add((applicant, project))
-    moved = Matching(frozenset(pairs))
-    return matching_feasible(instance, moved, feas)
-
-
 # -- blocking pairs and fairness -----------------------------------------
 
 
@@ -225,18 +197,6 @@ def cutoffs_for(instance: Instance, matching: Matching) -> CutoffVector:
     return CutoffVector(cut)
 
 
-def is_unconstrained(instance: Instance, matching: Matching, project: str,
-                     feas: SipFeasibility | None = None) -> bool:
-    """True iff any one additional (mutually acceptable) applicant could
-    join the project without breaking validity or feasibility."""
-    feas = feas or SipFeasibility(instance)
-    candidates = [
-        a for a in instance.project_prefs[project]
-        if project in instance.ranks_of(a) and (a, project) not in matching.pairs
-    ]
-    return all(augment_feasible(instance, matching, a, project, feas) for a in candidates)
-
-
 # -- classification -------------------------------------------------------
 
 
@@ -267,7 +227,8 @@ def check_stability(instance: Instance, matching: Matching,
 
         M is valid, so only the new pair's acceptability and p's capacity
         can break validity: this is augment_feasible (drop=None) or
-        swap_feasible (drop=M(a)) without rebuilding the matching."""
+        swap_feasible (drop=M(a)) of tests/stability_reference.py without
+        rebuilding the matching."""
         if not instance.mutually_acceptable(a, p) or counts[p] >= instance.capacities[p]:
             return False
         probed = dict(counts)

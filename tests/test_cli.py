@@ -394,3 +394,67 @@ def test_solve_rejects_malformed_instances(tmp_path, capsys, payload, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {inst}: invalid instance: {message}\n"
+
+
+def assert_one_error_line(capsys, prefix):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {prefix}") and captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_instance_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    assert main(["solve", str(tmp_path)]) == EXIT_INPUT
+    assert_one_error_line(capsys, f"{tmp_path}: cannot read: ")
+
+
+def test_non_utf8_instance_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"applicants": ["\xff"]}')
+    assert main(["solve", str(bad)]) == EXIT_INPUT
+    assert_one_error_line(capsys, f"{bad}: not UTF-8 text (byte 17)\n")
+
+
+def test_deeply_nested_matching_exits_2(tmp_path, ex2, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["check", str(ex2), str(deep)]) == EXIT_INPUT
+    assert_one_error_line(capsys, f"{deep}: JSON nested too deeply\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{ex2}", "{m}", "--dot", "{missing}/flow.dot"],
+    ["gadget", "example1", "--out", "{missing}/ex1.json"],
+    ["generate", "--seed", "1", "--out", "{missing}/g.json"],
+    ["optimize", "{ex2}", "--export-lp", "{missing}/model.lp"],
+])
+def test_unwritable_output_path_exits_2(tmp_path, ex2, capsys, argv):
+    m = write_json(tmp_path, "m.json", [])
+    missing = tmp_path / "missing"
+    argv = [a.format(ex2=ex2, m=m, missing=missing) for a in argv]
+    capsys.readouterr()
+    assert main(argv) == EXIT_INPUT
+    assert_one_error_line(capsys, f"{missing}/")
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("budgets, message", [
+    ("5,1", "--budgets '5,1': lo exceeds hi"),
+    ("1,2,3", "--budgets '1,2,3' must be two comma-separated rationals lo,hi"),
+    ("1", "--budgets '1' must be two comma-separated rationals lo,hi"),
+])
+def test_bad_budget_range_names_the_flag(capsys, budgets, message):
+    assert main(["generate", "--seed", "1", f"--budgets={budgets}"]) == EXIT_INPUT
+    assert_one_error_line(capsys, f"{message}\n")
+
+
+def test_equal_budget_bounds_are_a_range(capsys):
+    assert main(["generate", "--seed", "1", "--budgets", "1,1"]) == EXIT_OK
+    raw = json.loads(capsys.readouterr().out)
+    assert {s["budget"] for s in raw["supervisors"]} == {"1"}
+
+
+def test_negative_node_limit_names_the_flag(ex2, capsys):
+    assert main(["optimize", str(ex2), "--node-limit", "-1"]) == EXIT_INPUT
+    assert_one_error_line(capsys, "--node-limit must be non-negative, not -1\n")
+    assert main(["optimize", str(ex2), "--node-limit", "0"]) == EXIT_GUARD

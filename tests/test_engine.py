@@ -3,14 +3,16 @@ strategic misreport example, minimality of the final cutoffs, and the
 feasibility-call budget."""
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
-from conftest import M, random_instance
+from conftest import M, random_instance, random_matching
 
 from cutoffmatch.engine import solve
-from cutoffmatch.flow import SipFeasibility
-from cutoffmatch.model import GADGET_NAMES, gadget, make_instance
+from cutoffmatch.flow import SipFeasibility, build_flow_graph, max_flow
+from cutoffmatch.model import GADGET_NAMES, gadget, generate_random, make_instance
 from cutoffmatch.stability import (
     CutoffVector,
     check_stability,
@@ -151,3 +153,46 @@ def test_rejects_non_permutation_order():
 def test_deterministic():
     inst = random_instance(3)
     assert solve(inst)[0] == solve(inst)[0]
+
+
+# -- the memoised, warm-started oracle against a cold one ------------------
+
+def cold_feasibility(instance):
+    """Budget feasibility by a fresh max-flow from zero flow on every call:
+    no memo, no warm start, no cut screen."""
+    def feasible(counts):
+        value, _ = max_flow(build_flow_graph(instance, counts))
+        return value == sum(counts.values())
+    return feasible
+
+
+DIFFERENTIAL_SWEEP = (
+    [gadget(name) for name in GADGET_NAMES]
+    + [random_instance(seed, max_applicants=12, max_projects=6, max_supervisors=4,
+                       budget_range=(0, 4)) for seed in range(60)]
+    + [generate_random(seed, 50, 10, 5, pref_density=Fraction(3, 10), budget_range=(0, 10))
+       for seed in range(6)]
+)
+
+
+def test_solve_with_the_default_oracle_equals_a_cold_oracle():
+    for inst in DIFFERENTIAL_SWEEP:
+        matching, cutoffs, trace = solve(inst)
+        cold_matching, cold_cutoffs, cold_trace = solve(
+            inst, feasibility=cold_feasibility(inst))
+        assert matching == cold_matching, inst.applicants
+        assert cutoffs == cold_cutoffs
+        assert trace.to_json_lines() == cold_trace.to_json_lines()
+        assert trace.feasibility_calls == cold_trace.feasibility_calls
+
+
+def test_check_stability_with_the_default_oracle_equals_a_cold_oracle():
+    levels = set()
+    for seed, inst in enumerate(DIFFERENTIAL_SWEEP):
+        rng = random.Random(seed)
+        for matching in [solve(inst)[0]] + [random_matching(inst, rng) for _ in range(3)]:
+            verdict = check_stability(inst, matching)
+            cold = check_stability(inst, matching, cold_feasibility(inst))
+            assert verdict.to_json_dict() == cold.to_json_dict(), (seed, matching)
+            levels.add(verdict.level)
+    assert levels == {"infeasible", "unfair", "fair", "weak", "cutoff", "strong"}

@@ -3,12 +3,16 @@ properties the stability layer depends on (heredity, anonymity,
 integrality)."""
 
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from conftest import M, random_instance, random_matching
 
+from cutoffmatch import flow as flow_module
 from cutoffmatch.flow import (
     SINK,
     SOURCE,
@@ -258,6 +262,71 @@ def test_certificates_verify_and_cuts_name_violated_sets():
             supply = sum((inst.budgets[s] for s in inst.supervisors
                           if set(inst.supervised[s]) & set(q)), Fraction(0))
             assert sum(counts[p] for p in q) > supply, (inst, counts)
+
+
+def supply_of(inst, projects):
+    """The budget of the supervisors of a project set, N(Q)."""
+    return sum((inst.budgets[s] for s in inst.supervisors
+                if set(inst.supervised[s]) & set(projects)), Fraction(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_warm_started_memo_equals_a_cold_max_flow(data):
+    # probe sequences through one memo: random vectors, some given as
+    # partial mappings, and the engine's and checker's +e_p (-e_q) moves
+    # from the last feasible vector
+    inst = data.draw(st.sampled_from(MIXED_SWEEP))
+    projects = inst.projects
+    feas = SipFeasibility(inst)
+    base = dict.fromkeys(projects, 0)
+    seen_cuts = set()
+    answered = set()
+    solved = []
+    inner = flow_module.max_flow
+
+    def recording_max_flow(graph):
+        solved.append(graph)
+        return inner(graph)
+
+    for _ in range(data.draw(st.integers(1, 25))):
+        if data.draw(st.booleans()):
+            counts = {p: data.draw(st.integers(0, 3)) for p in projects}
+        else:
+            counts = dict(base)
+            counts[data.draw(st.sampled_from(projects))] += 1
+            drop = data.draw(st.sampled_from((None, *projects)))
+            if drop is not None and counts[drop]:
+                counts[drop] -= 1
+        probe = counts
+        if data.draw(st.booleans()):
+            probe = {p: c for p, c in counts.items() if c}
+        solved.clear()
+        flow_module.max_flow = recording_max_flow
+        try:
+            ok = feas(probe)
+        finally:
+            flow_module.max_flow = inner
+        # a memo miss runs one max-flow unless a stored cut answers it
+        key = tuple(counts[p] for p in projects)
+        screened = any(sum(key[j] for j in positions) > bound for positions, bound in seen_cuts)
+        assert len(solved) == (key not in answered and not screened)
+        answered.add(key)
+        value, _ = max_flow(build_flow_graph(inst, counts))
+        assert ok == (value == sum(counts.values())), (inst, counts)
+        assert ok == (not gale_violations(inst, counts)), (inst, counts)
+        cuts = {cut for listed in feas._cuts for cut in listed}
+        for positions, bound in cuts - seen_cuts:
+            # only an infeasible max-flow stores a cut, and it names a set
+            # its vector violates, with the supply of N(Q) rounded down
+            assert not ok
+            q = [projects[j] for j in positions]
+            supply = supply_of(inst, q)
+            assert sum(counts[p] for p in q) > supply, (inst, counts, q)
+            assert bound == math.floor(supply)
+        seen_cuts = cuts
+        if ok:
+            base = counts
 
 
 def test_flows_are_fractions_in_budget_units():

@@ -21,17 +21,15 @@ from cutoffmatch.stability import (
     LEVELS,
     CutoffVector,
     Matching,
-    augment_feasible,
     blocking_pairs,
     check_stability,
     cutoffs_for,
     induce,
     is_fair,
-    is_unconstrained,
     matching_feasible,
     pareto_dominates,
-    swap_feasible,
 )
+from stability_reference import augment_feasible, is_unconstrained, swap_feasible
 
 SMALL_SWEEP = [random_instance(seed, max_applicants=5, max_projects=4,
                                max_supervisors=3, density="7/10")
@@ -318,7 +316,7 @@ def test_weakly_stable_dominated_by_some_cutoff_stable():
 
 def reference_verdict(instance, matching, feas):
     """check_stability's classification, with every augment or swap probe
-    answered by the public augment_feasible / swap_feasible, which build
+    answered by the reference augment_feasible / swap_feasible, which build
     the edited matching and re-validate it."""
     if not matching_feasible(instance, matching, feas):
         return {"level": "infeasible", "witnesses": []}
