@@ -149,8 +149,8 @@ def cmd_solve(args) -> int:
 def cmd_optimize(args) -> int:
     if args.node_limit is not None and args.node_limit < 0:
         raise InputError(f"--node-limit must be non-negative, not {args.node_limit}")
+    limit = _size_guard(args.guard)
     instance = _load_instance(args.instance)
-    limit = oracle.size_guard(args.guard)
     if len(instance.applicants) > limit:
         sys.stderr.write(
             f"instance exceeds size guard ({len(instance.applicants)} > {limit}); "
@@ -265,10 +265,21 @@ def _write_instance(instance: Instance, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _size_guard(flag: int | None) -> int:
+    """The enumeration size limit from ``--guard`` or CUTOFFMATCH_GUARD."""
+    if flag is not None and flag < 0:
+        raise InputError(f"--guard must be non-negative, not {flag}")
+    try:
+        return oracle.size_guard(flag)
+    except ValueError as exc:
+        raise InputError(str(exc))
+
+
 def cmd_oracle(args) -> int:
+    limit = _size_guard(args.guard)
     instance = _load_instance(args.instance)
     try:
-        table = oracle.classify_all(instance, args.guard)
+        table = oracle.classify_all(instance, limit)
     except oracle.GuardExceeded as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_GUARD

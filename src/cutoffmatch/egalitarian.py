@@ -1,23 +1,31 @@
 """Leximin-egalitarian funding allocation relative to normative targets.
 
-Given a feasible matching, repeatedly minimize the largest ratio of
-funded amount to target over the pairs not yet pinned, then pin the pairs
-whose ratio rows carry a nonzero LP dual price: by complementary
-slackness they sit at the optimum in every minimax solution (Nace &
-Pioro 2008).  Each solve pins at least one pair, so at most |T| LPs are
-solved for |T| target pairs.  The resulting sorted ratio vector is the
-lexicographic minimum over all feasible funding allocations, and that
-allocation is unique; `verify_leximin` checks a candidate level by level
-without re-running the loop.
+Given a feasible matching, repeatedly find the least value lam* of the
+largest ratio of funded amount to target over the pairs not yet pinned,
+then pin every pair whose ratio is lam* in all allocations that reach it.
+Both steps run on the funding network's integer max-flow kernel, with
+capacity lam*t on each free pair's arc and pinned funding taken off the
+budget and sink arcs.  lam* is the least lam at which the remaining
+demand flows through, found by Newton steps on the min-cut function, one
+max-flow each (Gallo, Grigoriadis & Tarjan 1989; Megiddo 1974).  A free
+pair is pinned when its arc is saturated and no residual path leads from
+its supervisor to its project, so it crosses every minimum cut (Picard &
+Queyranne 1980).  Each round pins at least one pair and lowers lam*.  The
+resulting sorted ratio vector is the lexicographic minimum over all
+feasible funding allocations, and that allocation is unique;
+`verify_leximin` checks a candidate level by level with LPs, a method
+independent of the loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
-from cutoffmatch.flow import verify_allocation
+from cutoffmatch import flow
+from cutoffmatch.flow import SINK, SOURCE, FlowGraph, FundingNetwork, verify_allocation
 from cutoffmatch.lp import OPTIMAL, LinearProgram, solve_lp
 from cutoffmatch.model import Instance, format_rational
 from cutoffmatch.stability import Matching, matching_feasible
@@ -63,7 +71,7 @@ class AllocationResult:
     ratios: list[Fraction]                  # weakly decreasing
     fixed_round: dict[Pair, int]            # round (value of lam*) that pinned each pair
     fixed_value: dict[Pair, Fraction]       # the pinned ratio
-    lp_solves: int
+    lp_solves: int                          # 0: the loop solves no LP; `allocate` prints it
     rounds: int
 
     def to_json_dict(self, targets: TargetProfile) -> dict:
@@ -98,20 +106,6 @@ def default_targets(instance: Instance, matching: Matching) -> TargetProfile:
         share = Fraction(1, len(ss))
         for s in ss:
             targets[(s, p)] = share
-    return TargetProfile(targets)
-
-
-def matched_count_targets(instance: Instance, matching: Matching) -> TargetProfile:
-    """Targets |M(p)|/|S_p| (lenient mode only: sums exceed 1 when
-    |M(p)| > 1, and pairs for unmatched projects get no target)."""
-    counts = matching.counts(instance)
-    targets: dict[Pair, Fraction] = {}
-    for p in instance.projects:
-        ss = instance.supervisors_of(p)
-        if not ss or counts[p] == 0:
-            continue
-        for s in ss:
-            targets[(s, p)] = Fraction(counts[p], len(ss))
     return TargetProfile(targets)
 
 
@@ -158,46 +152,99 @@ def egalitarian_allocation(
     instance: Instance, matching: Matching, targets: TargetProfile | None = None,
     strict: bool = True,
 ) -> AllocationResult:
-    """Run the iterated minimax allocation for a feasible matching: each LP
-    solve pins at least one pair, so at most |T| solves; a round is one lam*."""
+    """Run the iterated minimax allocation for a feasible matching on the
+    funding network's max-flow kernel; a round is one lam*.
+
+    Raises ValueError when the matching is infeasible or when the target
+    pairs (lenient targets may leave some out) cannot fund it."""
     if not matching_feasible(instance, matching):
         raise ValueError("matching is not feasible; no funding allocation exists")
     if targets is None:
         targets = default_targets(instance, matching)
     targets.validate(instance, strict=strict)
 
+    network = FundingNetwork(instance)
+    names, arcs, first_sink = network.names, network.arcs, network.first_sink_arc
     counts = matching.counts(instance)
-    pairs = sorted(targets.targets)
-    lp_solves = rounds = 0
+    # what pinned pairs leave of each budget and sink arc; s -> p arcs stay 0
+    left = [Fraction(0)] * first_sink + [Fraction(counts[p]) for p in instance.projects]
+    for s in instance.supervisors:
+        left[network.arc_index[SOURCE, s]] = instance.budgets[s]
+    target = targets.targets
+    unit = lcm(*(t.denominator for t in target.values()))
+    # the free pairs' arcs, with their targets in units of 1/unit
+    free = {network.arc_index[sp]: int(target[sp] * unit) for sp in sorted(target)}
     fixed_value: dict[Pair, Fraction] = {}
     fixed_round: dict[Pair, int] = {}
-    last_lam: Fraction | None = None
-    allocation: dict[Pair, Fraction] = {}
+    rounds = 0
 
-    while len(fixed_value) < len(pairs):
-        lp, names, lam, ratio_rows = _minimax_lp(instance, counts, targets, fixed_value)
-        sol = solve_lp(lp)
-        lp_solves += 1
-        if sol.status != OPTIMAL:
-            raise RuntimeError(f"minimax LP unexpectedly {sol.status}")
-        lam_star = sol[lam]
-        if lam_star != last_lam:
-            rounds, last_lam = rounds + 1, lam_star
-        # a nonzero dual marks a row tight in every optimum; when lam* > 0
-        # the ratio rows' duals sum to -1, so at least one pair is pinned
-        tight = [sp for sp, i in ratio_rows.items() if lam_star == 0 or sol.duals[i]]
+    # demand left with no free pair to carry it makes _least_lambda refuse
+    while free or any(left[first_sink:]):
+        lam, capacity, flows = _least_lambda(network, left, free, unit)
+        rounds += 1
+        # a saturated arc s -> p keeps its flow in every maximum flow unless
+        # a residual path s ~> p closes a cycle through it (an unsaturated
+        # arc is such a path, so testing saturation first only saves searches)
+        reach: dict[int, set[int]] = {}
+        tight = []
+        for a in free:
+            u, v = arcs[a]
+            if flows[a] == capacity[a]:
+                if u not in reach:
+                    reach[u] = network.reachable(capacity, flows, u)
+                if v not in reach[u]:
+                    tight.append(a)
         if not tight:
             raise RuntimeError("no pair became tight; minimax reasoning violated")
-        fixed_value.update(dict.fromkeys(tight, lam_star))
-        fixed_round.update(dict.fromkeys(tight, rounds))
-        # pairs pinned by the final solve are tight in it, so its solution
-        # already sits at every pinned ratio
-        allocation = {sp: sol[names[sp]] for sp in pairs}
+        for a in tight:
+            u, v = arcs[a]
+            s, p = names[u], names[v]
+            x = lam * target[s, p]
+            left[network.arc_index[SOURCE, s]] -= x
+            left[network.arc_index[p, SINK]] -= x
+            fixed_value[s, p], fixed_round[s, p] = lam, rounds
+            del free[a]
 
-    ratios = sorted((allocation[sp] / targets.targets[sp] for sp in pairs), reverse=True)
+    allocation = {sp: fixed_value[sp] * target[sp] for sp in sorted(target)}
+    ratios = sorted(fixed_value.values(), reverse=True)
     if not verify_allocation(instance, counts, allocation):
         raise RuntimeError("leximin allocation violates the funding constraints")
-    return AllocationResult(allocation, ratios, fixed_round, fixed_value, lp_solves, rounds)
+    return AllocationResult(allocation, ratios, fixed_round, fixed_value, 0, rounds)
+
+
+def _least_lambda(
+    network: FundingNetwork, left: list[Fraction], free: Mapping[int, int], unit: int,
+) -> tuple[Fraction, list[int], list[int]]:
+    """The least lam at which the free arcs, at capacity lam*t, carry the
+    demand left on the sink arcs, with that step's arc capacities and a
+    maximum flow, both in ints over the step's common denominator.
+
+    Newton steps on the min-cut function from lam = 0: while the flow
+    falls short, the free arcs crossing the residual's minimum cut have
+    total target b, and lam grows by shortfall/b, to where that cut would
+    let the demand through.  b = 0 leaves the cut short at every lam."""
+    arcs, first_sink = network.arcs, network.first_sink_arc
+    q = lcm(*(x.denominator for x in left))
+    fixed = [x.numerator * (q // x.denominator) for x in left]
+    need = sum(fixed[first_sink:])
+    lam = Fraction(0)
+    while True:
+        den = lam.denominator * unit
+        scale = lcm(q, den)
+        grow, per_target = scale // q, lam.numerator * (scale // den)
+        capacity = [c * grow for c in fixed]
+        for a, t in free.items():
+            capacity[a] = per_target * t
+        flows = flow.max_flow(FlowGraph(network, capacity))[1].scaled
+        short = need * grow - sum(flows[first_sink:])
+        if not short:
+            return lam, capacity, flows
+        reach = network.reachable(capacity, flows)
+        b = sum(t for a, t in free.items() if arcs[a][0] in reach and arcs[a][1] not in reach)
+        if not b:
+            raise ValueError("the target pairs cannot fund the matching; "
+                             "no funding allocation exists")
+        lam += Fraction(short * unit, scale * b)
 
 
 def verify_leximin(

@@ -123,12 +123,13 @@ class FundingNetwork:
             value += bottleneck
         return value, residual[1::2]
 
-    def reachable(self, capacity: list[int], flow: list[int]) -> set[int]:
-        """Source side of a flow's residual graph: the nodes reachable from
-        the source along edges of positive residual capacity.  For a
-        maximum flow this is the source side of a minimum cut."""
-        seen = {0}
-        queue = [0]
+    def reachable(self, capacity: list[int], flow: list[int], origin: int = 0) -> set[int]:
+        """The nodes reachable from ``origin`` (the source by default) in a
+        flow's residual graph, along edges of positive residual capacity.
+        From the source of a maximum flow this is the source side of a
+        minimum cut."""
+        seen = {origin}
+        queue = [origin]
         for u in queue:
             for v, e in self.adjacency[u]:
                 a = e >> 1

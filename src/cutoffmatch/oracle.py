@@ -22,10 +22,21 @@ DEFAULT_GUARD = 10
 
 
 def size_guard(override: int | None = None) -> int:
+    """The enumeration size limit: ``override`` if given, else the
+    CUTOFFMATCH_GUARD environment variable, else DEFAULT_GUARD.  Raises
+    ValueError when the variable is not a non-negative integer."""
     if override is not None:
         return override
     env = os.environ.get("CUTOFFMATCH_GUARD")
-    return int(env) if env else DEFAULT_GUARD
+    if not env:
+        return DEFAULT_GUARD
+    try:
+        limit = int(env)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise ValueError(f"CUTOFFMATCH_GUARD must be a non-negative integer, not {env!r}")
+    return limit
 
 
 class GuardExceeded(RuntimeError):

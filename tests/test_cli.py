@@ -197,7 +197,7 @@ def test_allocate_fixture(tmp_path, capsys):
     assert code == EXIT_OK
     assert report["ratios"] == ["3/2", "1/2"]
     assert report["pairs"][0]["x"] == "1/4"
-    assert report["lp_solves"] == 2
+    assert report["lp_solves"] == 0
 
     custom = write_json(tmp_path, "t.json", [
         {"supervisor": "s1", "project": "p", "target": "1/4"},
@@ -298,6 +298,31 @@ def test_allocate_infeasible_matching_with_targets(tmp_path, capsys):
     bad = write_json(tmp_path, "bad.json", [["a2", "p1"]])
     assert main(["allocate", str(inst), str(ok), "--targets", str(t)]) == EXIT_OK
     assert main(["allocate", str(inst), str(bad), "--targets", str(t)]) == EXIT_NEGATIVE
+
+
+@pytest.mark.parametrize("records", [
+    [{"supervisor": "s1", "project": "p", "target": "1"}],
+    [],
+])
+def test_allocate_lenient_targets_that_cannot_fund_the_matching(tmp_path, capsys, records):
+    # s1 has no budget and s2, the only funded supervisor, has no target
+    inst = write_json(tmp_path, "inst.json", {
+        "applicants": ["a1"],
+        "projects": [{"id": "p", "capacity": 1, "prefs": ["a1"]}],
+        "supervisors": [
+            {"id": "s1", "budget": "0", "projects": ["p"]},
+            {"id": "s2", "budget": "1", "projects": ["p"]},
+        ],
+        "applicant_prefs": {"a1": ["p"]},
+    })
+    m = write_json(tmp_path, "m.json", [["a1", "p"]])
+    t = write_json(tmp_path, "t.json", records)
+    argv = ["allocate", str(inst), str(m), "--targets", str(t), "--mode", "lenient"]
+    assert main(argv) == EXIT_NEGATIVE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("the target pairs cannot fund the matching; "
+                            "no funding allocation exists\n")
 
 
 def test_generate_deterministic(tmp_path):
@@ -458,3 +483,21 @@ def test_negative_node_limit_names_the_flag(ex2, capsys):
     assert main(["optimize", str(ex2), "--node-limit", "-1"]) == EXIT_INPUT
     assert_one_error_line(capsys, "--node-limit must be non-negative, not -1\n")
     assert main(["optimize", str(ex2), "--node-limit", "0"]) == EXIT_GUARD
+
+
+@pytest.mark.parametrize("command", ["oracle", "optimize"])
+def test_negative_guard_names_the_flag(ex2, capsys, command):
+    assert main([command, str(ex2), "--guard", "-1"]) == EXIT_INPUT
+    assert_one_error_line(capsys, "--guard must be non-negative, not -1\n")
+    assert main([command, str(ex2), "--guard", "0"]) == EXIT_GUARD
+
+
+@pytest.mark.parametrize("command", ["oracle", "optimize"])
+@pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
+def test_bad_guard_variable_names_the_variable(ex2, capsys, monkeypatch, command, value):
+    monkeypatch.setenv("CUTOFFMATCH_GUARD", value)
+    assert main([command, str(ex2)]) == EXIT_INPUT
+    assert_one_error_line(
+        capsys, f"CUTOFFMATCH_GUARD must be a non-negative integer, not {value!r}\n")
+    # the flag wins over the variable
+    assert main([command, str(ex2), "--guard", "10"]) == EXIT_OK

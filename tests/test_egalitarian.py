@@ -14,7 +14,6 @@ from cutoffmatch.egalitarian import (
     _feasibility_lp,
     default_targets,
     egalitarian_allocation,
-    matched_count_targets,
     verify_leximin,
 )
 from cutoffmatch.flow import verify_allocation
@@ -42,7 +41,7 @@ def test_fixture_allocation_exact():
     assert res.allocation == {("s1", "p"): Fraction(1, 4), ("s2", "p"): Fraction(3, 4)}
     assert res.ratios == [Fraction(3, 2), Fraction(1, 2)]
     assert res.rounds == 2
-    assert res.lp_solves == 2
+    assert res.lp_solves == 0
     assert res.fixed_value[("s2", "p")] == Fraction(3, 2)
     assert res.fixed_value[("s1", "p")] == Fraction(1, 2)
     assert res.fixed_round[("s2", "p")] == 1
@@ -93,7 +92,7 @@ def test_default_targets_reject_unsupervised_matched_project():
         default_targets(inst, M(("a1", "p")))
 
 
-def test_matched_count_targets_use_matched_counts():
+def test_lenient_targets_need_not_sum_to_one():
     inst = make_instance(
         applicants=["a1", "a2"],
         applicant_prefs={"a1": ["p"], "a2": ["p"]},
@@ -103,8 +102,7 @@ def test_matched_count_targets_use_matched_counts():
         budgets={"s1": 2, "s2": 2},
     )
     m = M(("a1", "p"), ("a2", "p"))
-    t = matched_count_targets(inst, m).targets
-    assert t == {("s1", "p"): Fraction(1), ("s2", "p"): Fraction(1)}
+    t = {("s1", "p"): Fraction(1), ("s2", "p"): Fraction(1)}
     # such targets do not sum to 1, so strict validation must refuse them
     with pytest.raises(ValueError):
         TargetProfile(t).validate(inst, strict=True)
@@ -144,7 +142,7 @@ def test_gadget_allocations_verified_and_within_bounds():
             n_pairs = len(targets.targets)
             assert res.rounds <= n_pairs
             assert res.lp_solves <= n_pairs * n_pairs + n_pairs
-            assert res.rounds <= res.lp_solves <= n_pairs
+            assert res.lp_solves == 0
             assert verify_allocation(inst, m.counts(inst), res.allocation)
             assert verify_leximin(inst, m, targets, res.allocation)
             assert res.ratios == sorted(res.ratios, reverse=True)

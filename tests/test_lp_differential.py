@@ -2,7 +2,7 @@
 (`lp_reference`): both must take the same pivots, so every LP must come
 back field for field the same (status, assignment, objective, duals).
 Programs come from a seeded random sweep, from branch and bound on the
-acceptance-test shape, and from the leximin allocation loop."""
+acceptance-test shape, and from the leximin verifier."""
 
 import random
 from fractions import Fraction
@@ -152,8 +152,11 @@ def test_leximin_lps_match_the_reference(compare_lps):
     )
     cases = [(inst, M(("a1", "p")))]
     cases += [(g, engine.solve(g)[0]) for g in map(gadget, GADGET_NAMES)]
+    levels = 0
     for inst, matching in cases:
         targets = egalitarian.default_targets(inst, matching)
         result = egalitarian.egalitarian_allocation(inst, matching, targets)
         assert egalitarian.verify_leximin(inst, matching, targets, result.allocation)
-    assert len(compare_lps) >= 2 * len(cases)
+        levels += len(set(result.ratios))
+    # the verifier solves one LP per ratio level; the allocation solves none
+    assert len(compare_lps) == levels
